@@ -40,10 +40,6 @@ CONSTANT = "constant"
 PERIODIC = "periodic"
 UNCLASSIFIED = "unclassified"
 
-# Scan density used when hunting for sign changes of the return indicator
-# inside one search chunk; the chunk spans a few estimated rotation periods,
-# so this leaves hundreds of samples per period.
-_SCAN_POINTS = 4096
 _BISECT_MAX_ITER = 200
 
 
@@ -200,9 +196,9 @@ def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndar
     return rhs
 
 
-def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions):
+def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, events=None):
     sol = solve_ivp(rhs, (t0, t1), z0, method=opts.method, rtol=opts.rtol, atol=opts.atol,
-                    dense_output=True)
+                    dense_output=True, events=events)
     if not sol.success:
         raise IntegrationError(f"solver failed near t = {sol.t[-1]:.6g}: {sol.message}")
     return sol
@@ -318,18 +314,24 @@ def _assemble_vertical(ts, hs, skew, basis, body, opts, dense=None) -> Trajector
                       body=body, dense=dense)
 
 
-def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None,
-                  chunk: float | None = None) -> PeriodResult:
+def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None) -> PeriodResult:
     """First-return time of a nonconstant trajectory of ``rhs`` from h0.
 
     Monitors g(t) = <h(t) - h0, v> with v the unit initial velocity.  On a
-    closed convex curve traversed monotonically, g crosses zero upward only
-    at full returns, so the detector scans for sign changes of g from
-    negative to nonnegative, refines each crossing by bisection on the dense
-    output until |g| <= opts.g_tol, and accepts the first crossing that also
-    lands within opts.capture_radius of h0 with velocity aligned to the
-    initial one.  Integration proceeds in chunks so the search stops at the
-    first return instead of covering all of [0, t_max].
+    closed convex curve traversed monotonically, g leaves t = 0 upward,
+    falls through zero once on the far side of the curve and rises through
+    zero again only at the full return.  The search makes two event stops
+    of the solver: one integration runs until g falls through zero, and a
+    second one, started there, runs until g rises through zero.  That
+    candidate is refined by bisection on the dense output of the last step
+    until |g| <= opts.g_tol, and accepted if it lands within
+    opts.capture_radius of h0 with velocity aligned to the initial one;
+    otherwise the two stops repeat from the candidate.  So the search
+    integrates up to the first return and no further: there are no fixed
+    chunks and no scan grid.  Crossings are seen through the sign of g at
+    the solver's steps, so g dipping below zero and back within a single
+    step would go unseen; at the default tolerances a period takes dozens
+    of steps.
 
     Raises HorizonExhaustedError when no return is found by t_max.
     """
@@ -342,27 +344,40 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None,
     if speed0 == 0.0:
         raise InputError("initial velocity vanishes; the trajectory is constant")
     vhat = hdot0 / speed0
-    if chunk is None:
-        chunk = t_max / 50.0
-    chunk = min(chunk, t_max)
 
-    t_lo = 0.0
-    state = h0.copy()
+    def crossing(t_start, side):
+        # Terminal event on g, crossing from `side` to the other.  Where a
+        # search leg starts (at h0 or at the previous stop) g is zero up to
+        # rounding, so there the event reports the side g is known to leave
+        # towards: the leg never stops at its own start, and a crossing
+        # inside its first step is still bracketed.
+        def event(t, h):
+            if t == t_start:
+                return side * np.finfo(float).tiny
+            return float(vhat @ (h - h0))
+
+        event.terminal = True
+        event.direction = -side
+        return event
+
+    t_lo, state = 0.0, h0
     while t_lo < t_max:
-        t_hi = min(t_lo + chunk, t_max)
-        sol = _solve(rhs, t_lo, t_hi, state, opts)
-        tg = np.union1d(sol.t, np.linspace(t_lo, t_hi, _SCAN_POINTS))
-        g = vhat @ (sol.sol(tg) - h0[:, None])
-        crossings = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
-        for i in crossings:
-            t_star = _bisect_crossing(sol, h0, vhat, tg[i], tg[i + 1], g[i], opts.g_tol)
-            h_star = sol.sol(t_star)
-            residual = float(np.linalg.norm(h_star - h0))
-            if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
-                logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
-                return PeriodResult(period=float(t_star), residual=residual)
-        t_lo = t_hi
-        state = sol.y[:, -1]
+        far = _solve(rhs, t_lo, t_max, state, opts, events=crossing(t_lo, 1.0))
+        if far.status != 1:
+            break
+        t_far = float(far.t[-1])
+        rises = crossing(t_far, -1.0)
+        back = _solve(rhs, t_far, t_max, far.y[:, -1], opts, events=rises)
+        if back.status != 1:
+            break
+        a, b = float(back.t[-2]), float(back.t[-1])
+        t_star = _bisect_crossing(back, h0, vhat, a, b, rises(a, back.sol(a)), opts.g_tol)
+        h_star = back.sol(t_star)
+        residual = float(np.linalg.norm(h_star - h0))
+        if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
+            logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
+            return PeriodResult(period=float(t_star), residual=residual)
+        t_lo, state = b, back.y[:, -1]
     raise HorizonExhaustedError(f"no first return found within t_max = {t_max:.6g}", t_max=t_max)
 
 
@@ -424,10 +439,9 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
 
     sigma = skew.sigma_max()
     t_max = opts.t_max if opts.t_max is not None else 100.0 * (2.0 * np.pi / sigma)
-    chunk = 5.0 * np.pi / sigma
     rhs = _make_rhs(body, skew.matrix)
     try:
-        found = detect_period(rhs, h0, t_max, opts, chunk=chunk)
+        found = detect_period(rhs, h0, t_max, opts)
     except HorizonExhaustedError:
         return ExtremalClass(
             kind=UNCLASSIFIED, parallel_residual=residual,

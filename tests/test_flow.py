@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from carnot_extremals import flow
 from carnot_extremals import (
     AbnormalCovectorError,
     DriftExceededError,
@@ -32,6 +35,25 @@ from oracles import (
 
 BALL3 = Ellipsoid(np.eye(3))
 ROT12 = SkewMatrix.from_entries(3, {(1, 2): 1.0})
+
+
+def unit_rotation(t, h):
+    """Unit-speed rotation in the (1, 2) plane: period 2 pi from e_1."""
+    return -ROT12.matrix @ h
+
+
+def record_solves(monkeypatch):
+    """Wrap flow._solve; returns the list of solutions it hands back."""
+    solves = []
+    solve = flow._solve
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        solves.append(sol)
+        return sol
+
+    monkeypatch.setattr(flow, "_solve", recording)
+    return solves
 
 
 class TestVerticalRhs:
@@ -165,14 +187,46 @@ def test_extremal_control_examples():
 
 class TestDetectPeriod:
     def test_rotation_flow_unit_speed(self):
-        m = ROT12.matrix
-
-        def rhs(t, h):
-            return -m @ h
-
-        found = detect_period(rhs, np.array([1.0, 0.0, 0.0]), t_max=100.0)
+        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
         assert abs(found.period - 2.0 * np.pi) <= 1e-9
         assert found.residual <= 1e-9
+
+    def test_horizon_ends_between_far_side_and_return(self):
+        # the far side is at t = pi, so the horizon cuts the return leg
+        with pytest.raises(HorizonExhaustedError):
+            detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=0.99 * 2.0 * np.pi)
+
+    def test_horizon_just_past_the_return(self):
+        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=1.01 * 2.0 * np.pi)
+        assert abs(found.period - 2.0 * np.pi) <= 1e-9
+
+    def test_rejected_candidate_restarts_the_search(self):
+        # The limacon r = 1/2 + cos t has an inner loop: g rises through zero
+        # at t = pi, a unit distance from h0, where the capture radius
+        # rejects the candidate; the true return is at t = 2 pi.
+        def rhs(t, h):
+            r, dr = 0.5 + np.cos(t), -np.sin(t)
+            return np.array([dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)])
+
+        found = detect_period(rhs, np.array([1.5, 0.0]), t_max=10.0)
+        assert abs(found.period - 2.0 * np.pi) <= 1e-9
+
+    @pytest.mark.parametrize("tau", [1e-5, 1e-3])
+    def test_return_inside_the_first_step_of_a_leg(self, monkeypatch, tau):
+        # h(t) = h0 + s (s - 1) (s - 2) e with s = t / tau: g falls through
+        # zero at s = 1 and rises back at s = 2.  The solver integrates the
+        # cubic exactly, so its first step after the far side spans the whole
+        # return leg, where g starts at zero only up to rounding.
+        e = np.array([1.0, 0.0])
+
+        def rhs(t, h):
+            s = t / tau
+            return (3.0 * s * s - 6.0 * s + 2.0) / tau * e
+
+        solves = record_solves(monkeypatch)
+        found = detect_period(rhs, e, t_max=10.0 * tau)
+        assert solves[-1].t.size == 2  # the return leg took a single step
+        assert abs(found.period - 2.0 * tau) <= 1e-9 * tau
 
     def test_rotation_flow_sqrt2_speed(self):
         m = np.sqrt(2.0) * ROT12.matrix
@@ -265,6 +319,50 @@ class TestClassifyK3:
     def test_rejects_other_ranks(self):
         with pytest.raises(UnsupportedRankError):
             classify_k3(np.ones(4), SkewMatrix.zero(4), Ellipsoid(np.eye(4)))
+
+    def test_period_search_stops_at_the_first_return(self, monkeypatch):
+        # An lp ball's period scales as 1/r^2, so a fixed search horizon sized
+        # from sigma_max would hold many periods here; the search must not.
+        solves = record_solves(monkeypatch)
+        m = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.5, (2, 3): 0.3})
+        outcome = classify_k3([0.9, -0.1, 0.3], m, LpBall(p=4.0, radius=2.0))
+        assert outcome.kind == "periodic"
+        assert outcome.period == pytest.approx(1.098, abs=1e-3)
+        integrated = sum(sol.t[-1] - sol.t[0] for sol in solves)
+        assert integrated <= 1.05 * outcome.period
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(eigenvalues=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+       quaternion=st.tuples(*[_UNIT] * 4),
+       entries=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       h0=st.tuples(*[_UNIT] * 3))
+def test_ellipsoid_period_matches_linear_oracle(eigenvalues, quaternion, entries, h0):
+    # On H = 1 the ellipsoid flow is linear, dh/dt = -M A h, so every
+    # nonconstant orbit has period 2 pi / omega with +-i omega the nonzero
+    # eigenvalues of M A.  A return accepted at t ~ 0 or a skipped first lap
+    # (2 T) both miss this by far more than the tolerance.
+    q = np.array(quaternion)
+    assume(np.linalg.norm(q) > 0.1 and np.linalg.norm(entries) > 0.1
+           and np.linalg.norm(h0) > 0.1)
+    w, x, y, z = q / np.linalg.norm(q)
+    rotation = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+    a = rotation @ np.diag(eigenvalues) @ rotation.T
+    a = 0.5 * (a + a.T)
+    m = SkewMatrix.from_entries(3, {(1, 2): entries[0], (1, 3): entries[1], (2, 3): entries[2]})
+    outcome = classify_k3(np.array(h0), m, Ellipsoid(a))
+    assume(outcome.parallel_residual > 1e-6)
+    omega = np.abs(np.linalg.eigvals(m.matrix @ a).imag).max()
+    expected = 2.0 * np.pi / omega
+    assert outcome.kind == "periodic"
+    assert abs(outcome.period - expected) <= 1e-9 * expected
 
 
 class TestAlignedConstantBranch:
