@@ -10,6 +10,7 @@ ellipsoids, lp balls with 1 < p < inf, and translated ellipsoids.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -21,6 +22,11 @@ from .errors import AbnormalCovectorError, InputError
 # H = 1 legitimate states are bounded away from the origin, so the guard only
 # fires on genuinely degenerate input.
 ZERO_GUARD = 1e-300
+
+# Outside this band the quadratic form h^T A h of an ellipsoid may have lost
+# digits to underflow or overflow; such covectors are first rescaled by a
+# power of two, which is exact, and the result is scaled back.
+_QUADRATIC_BAND = (1e-280, 1e280)
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,17 @@ class ControlBody(abc.ABC):
 
     @abc.abstractmethod
     def _gradient(self, h: np.ndarray) -> np.ndarray: ...
+
+    # Row kernels: the same maps on an (N, k) array of nonzero covectors,
+    # returning (N,) support values and (N, k) gradients.  The scalar forms
+    # serve one point per ODE right-hand-side call; these serve whole sampled
+    # trajectories.
+
+    @abc.abstractmethod
+    def _support_batch(self, hs: np.ndarray) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def _gradient_batch(self, hs: np.ndarray) -> np.ndarray: ...
 
     def validate(self) -> ValidationReport:
         return ValidationReport(tuple(self.violations()))
@@ -108,6 +125,34 @@ class ControlBody(abc.ABC):
             )
 
 
+def _quadratic(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(w, A w, w^T A w, e) with w = h / 2^e.
+
+    e = 0 unless h^T A h leaves the quadratic band; then w is h rescaled to
+    max |w_i| in [1/2, 1).  Scaling by a power of two is exact.
+    """
+    ah = a @ h
+    d = float(h @ ah)
+    if _QUADRATIC_BAND[0] < d < _QUADRATIC_BAND[1]:
+        return h, ah, d, 0
+    e = math.frexp(float(np.abs(h).max()))[1]
+    w = np.ldexp(h, -e)
+    aw = a @ w
+    return w, aw, float(w @ aw), e
+
+
+def _quadratic_rows(a: np.ndarray, hs: np.ndarray):
+    """Row-wise _quadratic, with every row rescaled to max |w_i| in [1/2, 1).
+
+    The rescaling is exact, so inside the band it changes no result, except
+    that a component far below its row's maximum may round to a subnormal.
+    """
+    e = np.frexp(np.abs(hs).max(axis=1))[1]
+    w = np.ldexp(hs, -e[:, None])
+    aw = w @ a.T
+    return w, aw, np.einsum("ij,ij->i", w, aw), e
+
+
 def _as_matrix(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
@@ -151,11 +196,20 @@ class Ellipsoid(ControlBody):
         return {"type": self.kind, "A": self.shape_matrix.tolist()}
 
     def _support(self, h):
-        return float(np.sqrt(h @ self.shape_matrix @ h))
+        _, _, d, e = _quadratic(self.shape_matrix, h)
+        return math.ldexp(math.sqrt(d), e)
 
     def _gradient(self, h):
-        ah = self.shape_matrix @ h
-        return ah / np.sqrt(h @ ah)
+        _, ah, d, _ = _quadratic(self.shape_matrix, h)
+        return ah / math.sqrt(d)
+
+    def _support_batch(self, hs):
+        _, _, d, e = _quadratic_rows(self.shape_matrix, hs)
+        return np.ldexp(np.sqrt(d), e)
+
+    def _gradient_batch(self, hs):
+        _, aw, d, _ = _quadratic_rows(self.shape_matrix, hs)
+        return aw / np.sqrt(d)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +253,30 @@ class LpBall(ControlBody):
         return float(self.radius * m * (w**self.q).sum() ** (1.0 / self.q))
 
     def _gradient(self, h):
-        # Components at zero use the limit value 0^(q-1) = 0 for q > 1.
+        # On Python floats: for the few components of a covector, NumPy's
+        # per-call overhead would cost more than the arithmetic.  Components
+        # at zero use the limit value 0^(q-1) = 0 for q > 1 and give +0.0.
         q = self.q
-        a = np.abs(h)
-        w = a / a.max()
-        s = float((w**q).sum())
-        return self.radius * np.sign(h) * w ** (q - 1.0) / s ** ((q - 1.0) / q)
+        e = q - 1.0
+        vals = h.tolist()
+        m = max(map(abs, vals))
+        w = [abs(v) / m for v in vals]
+        c = sum([wi**q for wi in w]) ** (e / q)
+        r = self.radius
+        return np.array([(r if v >= 0.0 else -r) * wi**e / c for wi, v in zip(w, vals)])
+
+    def _support_batch(self, hs):
+        a = np.abs(hs)
+        m = a.max(axis=1)
+        w = a / m[:, None]
+        return self.radius * m * (w**self.q).sum(axis=1) ** (1.0 / self.q)
+
+    def _gradient_batch(self, hs):
+        q = self.q
+        a = np.abs(hs)
+        w = a / a.max(axis=1, keepdims=True)
+        s = (w**q).sum(axis=1, keepdims=True)
+        return self.radius * np.sign(hs) * w ** (q - 1.0) / s ** ((q - 1.0) / q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,11 +320,20 @@ class TranslatedEllipsoid(ControlBody):
         return {"type": self.kind, "A": self.shape_matrix.tolist(), "c": self.center.tolist()}
 
     def _support(self, h):
-        return float(self.center @ h + np.sqrt(h @ self.shape_matrix @ h))
+        w, _, d, e = _quadratic(self.shape_matrix, h)
+        return math.ldexp(float(self.center @ w) + math.sqrt(d), e)
 
     def _gradient(self, h):
-        ah = self.shape_matrix @ h
-        return self.center + ah / np.sqrt(h @ ah)
+        _, ah, d, _ = _quadratic(self.shape_matrix, h)
+        return self.center + ah / math.sqrt(d)
+
+    def _support_batch(self, hs):
+        w, _, d, e = _quadratic_rows(self.shape_matrix, hs)
+        return np.ldexp(w @ self.center + np.sqrt(d), e)
+
+    def _gradient_batch(self, hs):
+        _, aw, d, _ = _quadratic_rows(self.shape_matrix, hs)
+        return self.center + aw / np.sqrt(d)[:, None]
 
 
 BODY_KINDS = {cls.kind: cls for cls in (Ellipsoid, LpBall, TranslatedEllipsoid)}

@@ -189,9 +189,10 @@ def extremal_control(h, body: ControlBody) -> np.ndarray:
 
 def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
     grad = body._gradient
+    neg = -matrix
 
     def rhs(t, h):
-        return -(matrix @ grad(h))
+        return neg @ grad(h)
 
     return rhs
 
@@ -291,7 +292,7 @@ def _constant_dense(h0: np.ndarray) -> Callable:
 
 
 def _assemble_vertical(ts, hs, skew, basis, body, opts, dense=None) -> Trajectory:
-    level = np.array([body._support(h) for h in hs])
+    level = body._support_batch(hs)
     level_drift = np.abs(level - 1.0)
     if len(basis):
         values = hs @ basis.vectors.T
@@ -301,14 +302,14 @@ def _assemble_vertical(ts, hs, skew, basis, body, opts, dense=None) -> Trajector
 
     def build_partial(i):
         return Trajectory(
-            t=ts[:i], h=hs[:i], u=np.array([body._gradient(h) for h in hs[:i]]),
+            t=ts[:i], h=hs[:i], u=body._gradient_batch(hs[:i]),
             skew=skew, casimirs=basis,
             level_drift=level_drift[:i], casimir_drift=casimir_drift[:i],
             body=body, dense=dense,
         )
 
     _check_drift(ts, level_drift, casimir_drift, opts.max_drift, build_partial)
-    u = np.array([body._gradient(h) for h in hs])
+    u = body._gradient_batch(hs)
     return Trajectory(t=ts, h=hs, u=u, skew=skew, casimirs=basis,
                       level_drift=level_drift, casimir_drift=casimir_drift,
                       body=body, dense=dense)

@@ -91,6 +91,24 @@ class HorizontalTrajectory:
         return self.trajectory.control(t)
 
 
+def _lift_matrix(skew: SkewMatrix) -> np.ndarray:
+    """Constant L with (dh, dx, dy) = L @ (u, vec(x u^T)) for the coupled state.
+
+    Column k + i*k + j of L multiplies x_i u_j: the h rows hold -M, the x
+    rows the identity, and the row of pair (i, j) takes +1/2 x_i u_j and
+    -1/2 x_j u_i.
+    """
+    k = skew.k
+    rows, cols = AlgebraSpec(k).pair_rows_cols()
+    pairs = np.arange(rows.size)
+    out = np.zeros((2 * k + rows.size, k + k * k))
+    out[:k, :k] = -skew.matrix
+    out[k:2 * k, :k] = np.eye(k)
+    out[2 * k + pairs, k + rows * k + cols] = 0.5
+    out[2 * k + pairs, k + cols * k + rows] = -0.5
+    return out
+
+
 def integrate_horizontal(h0, skew: SkewMatrix, body: ControlBody, t1: float,
                          opts: IntegrationOptions | None = None,
                          samples: int = 1000) -> HorizontalTrajectory:
@@ -113,16 +131,12 @@ def integrate_horizontal(h0, skew: SkewMatrix, body: ControlBody, t1: float,
         raise InputError("samples must be >= 1")
 
     spec = AlgebraSpec(k)
-    rows, cols = spec.pair_rows_cols()
-    matrix = skew.matrix
+    coupling = _lift_matrix(skew)
     grad = body._gradient
 
     def rhs(t, z):
-        h = z[:k]
-        x = z[k:2 * k]
-        u = grad(h)
-        ydot = 0.5 * (x[rows] * u[cols] - x[cols] * u[rows])
-        return np.concatenate((-(matrix @ u), u, ydot))
+        u = grad(z[:k])
+        return coupling @ np.concatenate((u, np.multiply.outer(z[k:2 * k], u).ravel()))
 
     z0 = np.concatenate((h0, np.zeros(k), np.zeros(spec.num_pairs)))
     ts = np.linspace(0.0, t1, samples + 1)

@@ -104,8 +104,17 @@ def write_report(path, report: dict) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write numeric rows under a header; floats use the report format."""
+    """Write a 2-d array of numbers under a header; floats use the report format.
+
+    Finiteness is checked once for the whole array, and each row is
+    rendered by a single % operation on a line template.
+    """
+    rows = np.asarray(rows, dtype=float)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        format_float(float(rows[~finite][0]))  # raises, naming the value
+    line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(float(v)) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(line % tuple(row))

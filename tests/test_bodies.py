@@ -198,3 +198,94 @@ def test_subadditivity():
             h1 = random_covector(rng, 3)
             h2 = random_covector(rng, 3)
             assert body.support(h1 + h2) <= body.support(h1) + body.support(h2) + 1e-12
+
+
+# --- batched row kernels against the scalar per-point forms
+
+ULP = np.finfo(float).eps
+
+
+def _term_scale(body, h):
+    """Size of the terms summed into H(h) and grad H(h).
+
+    A translated ellipsoid adds the center to the centered ellipsoid's values,
+    and the two can cancel, so its ulp yardstick is the size of each term
+    rather than the (possibly small) sum.
+    """
+    if isinstance(body, TranslatedEllipsoid):
+        centered = Ellipsoid(body.shape_matrix)
+        return (abs(float(body.center @ h)) + centered._support(h),
+                float(np.abs(body.center).max() + np.abs(centered._gradient(h)).max()))
+    return body._support(h), float(np.abs(body._gradient(h)).max())
+
+
+def _batch_bodies(rng, k):
+    return [random_body(rng, k, family) for family in FAMILIES] + [
+        LpBall(p=1.01, radius=0.7),
+        LpBall(p=50.0, radius=1.3),
+    ]
+
+
+def _rows(rng, k, n, scale):
+    hs = rng.standard_normal((n, k)) * scale
+    hs[::3, 0] = 0.0        # exact zero components
+    hs[1::3, -1] = -0.0
+    return hs
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_batch_kernels_match_scalar_forms(k, scale):
+    rng = np.random.default_rng(40 + k)
+    hs = _rows(rng, k, 60, scale)
+    for body in _batch_bodies(rng, k):
+        with np.errstate(over="ignore"):  # an overflowing form is redone rescaled
+            support = body._support_batch(hs)
+            grad = body._gradient_batch(hs)
+            assert support.shape == (hs.shape[0],) and grad.shape == hs.shape
+            for h, s_row, g_row in zip(hs, support, grad):
+                s, g = body._support(h), body._gradient(h)
+                s_scale, g_scale = _term_scale(body, h)
+                assert abs(s_row - s) <= 4 * ULP * s_scale, body
+                assert np.abs(g_row - g).max() <= 4 * ULP * g_scale, body
+                # zero components of h give +0.0 in an lp gradient
+                if isinstance(body, LpBall):
+                    assert not np.signbit(g[h == 0.0]).any()
+                    assert not np.signbit(g_row[h == 0.0]).any()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_extreme_scales_follow_homogeneity(scale):
+    # H is degree-1 and grad H degree-0 homogeneous; at these scales h^T A h
+    # leaves the double range, so the ellipsoid forms must rescale first.
+    rng = np.random.default_rng(44)
+    hs = _rows(rng, 3, 30, 1.0)
+    for body in _batch_bodies(rng, 3):
+        with np.errstate(over="ignore"):
+            support = body._support_batch(scale * hs)
+            grad = body._gradient_batch(scale * hs)
+            for h, s_row, g_row in zip(hs, support, grad):
+                s, g = body._support(h), body._gradient(h)
+                np.testing.assert_allclose(body._support(scale * h), scale * s, rtol=1e-14)
+                np.testing.assert_allclose(s_row, scale * s, rtol=1e-14)
+                np.testing.assert_allclose(body._gradient(scale * h), g, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(g_row, g, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_euler_identity_on_batch_output(scale):
+    rng = np.random.default_rng(45)
+    for k in (2, 3, 5):
+        hs = _rows(rng, k, 60, scale)
+        for body in _batch_bodies(rng, k):
+            with np.errstate(over="ignore"):
+                support = body._support_batch(hs)
+                grad = body._gradient_batch(hs)
+            euler = np.einsum("ij,ij->i", grad, hs)
+            np.testing.assert_allclose(euler, support, rtol=1e-13)
+
+
+def test_batch_kernels_take_empty_input():
+    for body in _batch_bodies(np.random.default_rng(46), 3):
+        assert body._support_batch(np.empty((0, 3))).shape == (0,)
+        assert body._gradient_batch(np.empty((0, 3))).shape == (0, 3)

@@ -12,11 +12,14 @@ from carnot_extremals import (
     LpBall,
     SkewMatrix,
     TranslatedEllipsoid,
+    VerticalState,
     horizontal_rhs,
     integrate_horizontal,
+    vertical_rhs,
 )
+from carnot_extremals import lift
 
-from oracles import shoelace_area
+from oracles import FAMILIES, random_body, random_skew, shoelace_area
 
 HEIS = SkewMatrix.from_entries(2, {(1, 2): 1.0})
 BALL2 = Ellipsoid(np.eye(2))
@@ -123,3 +126,35 @@ class TestIntegrateHorizontal:
     def test_rejects_bad_horizon(self):
         with pytest.raises(InputError):
             integrate_horizontal([1.0, 0.0], HEIS, BALL2, -1.0)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_coupled_rhs_matches_per_point_api(monkeypatch, k):
+    # The coupled right-hand side is one constant matrix product; a sign or
+    # index slip in that matrix shows up against the documented per-point
+    # vertical and horizontal right-hand sides.
+    def capture(rhs, t0, t1, z0, opts):
+        raise _Captured(rhs)
+
+    monkeypatch.setattr(lift, "_solve", capture)
+    rng = np.random.default_rng(60 + k)
+    skew = random_skew(rng, k)
+    n_pairs = k * (k - 1) // 2
+    for family in FAMILIES:
+        body = random_body(rng, k, family)
+        with pytest.raises(_Captured) as info:
+            integrate_horizontal(rng.standard_normal(k), skew, body, 1.0)
+        rhs = info.value.args[0]
+        for _ in range(20):
+            h = rng.standard_normal(k)
+            x = rng.standard_normal(k) * 3.0
+            y = rng.standard_normal(n_pairs)
+            got = rhs(0.0, np.concatenate((h, x, y)))
+            u = body.support_gradient(h)
+            xdot, ydot = horizontal_rhs(GroupPoint(x, y), u)
+            want = np.concatenate((vertical_rhs(VerticalState(h, skew), body), xdot, ydot))
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
