@@ -166,7 +166,7 @@ def _classification_report(config: RunConfig, h0: np.ndarray) -> dict:
 
 
 def cmd_classify(config: RunConfig) -> tuple[dict, int]:
-    """Constant/periodic classification (k = 3 only); sweeps fan out over h0."""
+    """Constant/periodic classification (k = 3 only); sweeps run one h0 at a time."""
     if config.k != 3:
         raise UnsupportedRankError(
             f"classification is only supported for k = 3, got k = {config.k}"
@@ -174,7 +174,7 @@ def cmd_classify(config: RunConfig) -> tuple[dict, int]:
     report = {"command": "classify", "k": config.k, "body": config.body.to_config(),
               "skew": _skew_map(config), "seed": config.seed}
     if config.sweep:
-        with ThreadPoolExecutor(max_workers=min(8, len(config.sweep))) as pool:
+        with ThreadPoolExecutor(max_workers=1) as pool:
             results = list(pool.map(lambda h0: _classification_report(config, h0),
                                     config.sweep))
         report["sweep"] = True

@@ -197,9 +197,10 @@ def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndar
     return rhs
 
 
-def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, events=None):
+def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, events=None,
+           dense: bool = True):
     sol = solve_ivp(rhs, (t0, t1), z0, method=opts.method, rtol=opts.rtol, atol=opts.atol,
-                    dense_output=True, events=events)
+                    dense_output=dense, events=events)
     if not sol.success:
         raise IntegrationError(f"solver failed near t = {sol.t[-1]:.6g}: {sol.message}")
     return sol
@@ -323,9 +324,11 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     falls through zero once on the far side of the curve and rises through
     zero again only at the full return.  The search makes two event stops
     of the solver: one integration runs until g falls through zero, and a
-    second one, started there, runs until g rises through zero.  That
-    candidate is refined by bisection on the dense output of the last step
-    until |g| <= opts.g_tol, and accepted if it lands within
+    second one, started there, runs until g rises through zero.  Only the
+    second keeps dense output; the first is read at its end point alone.
+    The solver's event root is the candidate when |g| <= opts.g_tol there;
+    otherwise it is refined by bisection on the dense output of the last
+    step until |g| <= opts.g_tol.  The candidate is accepted if it lands within
     opts.capture_radius of h0 with velocity aligned to the initial one;
     otherwise the two stops repeat from the candidate.  So the search
     integrates up to the first return and no further: there are no fixed
@@ -363,7 +366,7 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
 
     t_lo, state = 0.0, h0
     while t_lo < t_max:
-        far = _solve(rhs, t_lo, t_max, state, opts, events=crossing(t_lo, 1.0))
+        far = _solve(rhs, t_lo, t_max, state, opts, events=crossing(t_lo, 1.0), dense=False)
         if far.status != 1:
             break
         t_far = float(far.t[-1])
@@ -372,7 +375,7 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
         if back.status != 1:
             break
         a, b = float(back.t[-2]), float(back.t[-1])
-        t_star = _bisect_crossing(back, h0, vhat, a, b, rises(a, back.sol(a)), opts.g_tol)
+        t_star = _bisect_crossing(lambda t: rises(t, back.sol(t)), a, b, opts.g_tol)
         h_star = back.sol(t_star)
         residual = float(np.linalg.norm(h_star - h0))
         if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
@@ -382,11 +385,19 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     raise HorizonExhaustedError(f"no first return found within t_max = {t_max:.6g}", t_max=t_max)
 
 
-def _bisect_crossing(sol, h0, vhat, a, b, ga, g_tol) -> float:
+def _bisect_crossing(g, a, b, g_tol) -> float:
+    """Root of g on the step [a, b] whose end b is the solver's event root.
+
+    The solver has already located the root to a few ulp, so b is returned
+    as it is when |g(b)| <= g_tol; only otherwise is [a, b] bisected.
+    """
+    if abs(g(b)) <= g_tol:
+        return b
+    ga = g(a)
     mid = 0.5 * (a + b)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (a + b)
-        gm = float(vhat @ (sol.sol(mid) - h0))
+        gm = g(mid)
         if abs(gm) <= g_tol or (b - a) <= 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
             break
         if (gm < 0.0) == (ga < 0.0):
@@ -405,7 +416,10 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     grad H(h0) is parallel to a (the extremum points of I_a on the level set
     H = 1 are the equilibria); the relative off-parallel residual is
     compared against opts.parallel_tol.  Nonconstant solutions are closed
-    curves and are classified by first-return detection.
+    curves and are classified by first-return detection.  Both tests run on
+    M / sigma_max in time units of 1 / sigma_max, so the outcome does not
+    depend on the scale of M and the period scales as
+    T(lambda M) = T(M) / lambda.
 
     Residuals inside (parallel_tol, parallel_warn_band] attach a warning:
     that close to the constant branch the return time becomes
@@ -421,12 +435,13 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     if skew.is_zero:
         return ExtremalClass(kind=CONSTANT, parallel_residual=0.0)
 
-    basis = kernel_basis(skew, opts.kernel_rel_tol)
+    # With tau = sigma t the flow is dh/dtau = -(M / sigma) grad H(h).  An
+    # absolute kernel cut or an underflowing initial speed would otherwise
+    # misjudge a tiny M, and a huge one overflows the solver's first step.
+    sigma = skew.sigma_max()
+    unit = SkewMatrix(skew.matrix / sigma)
+    basis = kernel_basis(unit, opts.kernel_rel_tol)
     warnings: list[str] = []
-    if basis.near_singular:
-        warnings.append(
-            "skew matrix is near singular; the constant/periodic split is numerically unstable"
-        )
     a = basis.vectors[0]
     grad = body.support_gradient(h0)
     residual = float(np.linalg.norm(grad - (grad @ a) * a) / np.linalg.norm(grad))
@@ -438,25 +453,25 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
             f"(residual {residual:.3e}); the period is ill-conditioned here"
         )
 
-    sigma = skew.sigma_max()
     t_max = opts.t_max if opts.t_max is not None else 100.0 * (2.0 * np.pi / sigma)
-    rhs = _make_rhs(body, skew.matrix)
+    rhs = _make_rhs(body, unit.matrix)
     try:
-        found = detect_period(rhs, h0, t_max, opts)
+        found = detect_period(rhs, h0, t_max * sigma, opts)
     except HorizonExhaustedError:
         return ExtremalClass(
             kind=UNCLASSIFIED, parallel_residual=residual,
             reason=f"no return within t_max = {t_max:.6g}; likely a tolerance problem",
             warnings=tuple(warnings),
         )
+    period = found.period / sigma
     if found.residual > opts.return_residual_tol:
         return ExtremalClass(
             kind=UNCLASSIFIED, parallel_residual=residual,
             reason=(f"return residual {found.residual:.3e} exceeds "
-                    f"{opts.return_residual_tol:.1e} at T = {found.period:.9g}"),
+                    f"{opts.return_residual_tol:.1e} at T = {period:.9g}"),
             warnings=tuple(warnings),
         )
-    return ExtremalClass(kind=PERIODIC, period=found.period, return_residual=found.residual,
+    return ExtremalClass(kind=PERIODIC, period=period, return_residual=found.residual,
                          parallel_residual=residual, warnings=tuple(warnings))
 
 

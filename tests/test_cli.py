@@ -204,13 +204,23 @@ class TestClassifyCommand:
         assert report["return_residual"] <= 1e-8
 
     def test_sweep_preserves_input_order(self, tmp_path):
-        doc = dict(BALL3_CFG, sweep=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        sweep = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.3, -0.5]]
+        doc = dict(BALL3_CFG, body={"type": "lp_ball", "p": 4.0}, sweep=sweep)
         code, out = run(tmp_path, "classify", doc)
         assert code == 0
         report = json.loads((out / "classify.json").read_text())
         kinds = [r["class"] for r in report["results"]]
-        assert kinds == ["constant", "periodic", "periodic"]
+        assert kinds == ["constant", "periodic", "periodic", "periodic"]
         np.testing.assert_array_equal(report["results"][0]["h0"], [0.0, 0.0, 1.0])
+        # each sweep entry is, bit for bit, the report of a single-h0 run
+        keys = ("period", "return_residual", "parallel_test_residual")
+        for n, (h0, result) in enumerate(zip(sweep, report["results"])):
+            single_doc = dict(doc, h0=h0)
+            del single_doc["sweep"]
+            code, single_out = run(tmp_path, "classify", single_doc, name=f"single{n}.json")
+            assert code == 0
+            single = json.loads((single_out / "classify.json").read_text())
+            assert [result[key] for key in keys] == [single[key] for key in keys]
 
 
 class TestGradcheckCommand:

@@ -228,6 +228,16 @@ class TestDetectPeriod:
         assert solves[-1].t.size == 2  # the return leg took a single step
         assert abs(found.period - 2.0 * tau) <= 1e-9 * tau
 
+    def test_only_the_return_leg_keeps_dense_output(self, monkeypatch):
+        # The far leg is read at its end point alone; the return leg's dense
+        # output is where the candidate and its residual are evaluated.
+        solves = record_solves(monkeypatch)
+        detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
+        assert len(solves) == 2
+        far, back = solves
+        assert far.sol is None
+        assert back.sol is not None
+
     def test_rotation_flow_sqrt2_speed(self):
         m = np.sqrt(2.0) * ROT12.matrix
 
@@ -264,6 +274,46 @@ class TestDetectPeriod:
             detect_period(rhs, np.array([1.0, 0.0]), t_max=5.0)
 
 
+class TestBisectCrossing:
+    @staticmethod
+    def return_leg():
+        """Return leg of the unit rotation from the far side, with its g."""
+        h0 = np.array([1.0, 0.0, 0.0])
+        vhat = unit_rotation(0.0, h0)
+
+        def event(t, h):
+            return float(vhat @ (h - h0))
+
+        event.terminal = True
+        event.direction = 1.0
+        back = flow._solve(unit_rotation, np.pi, 3.0 * np.pi, -h0, IntegrationOptions(),
+                           events=event)
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return event(t, back.sol(t))
+
+        return back, g, calls
+
+    def test_solver_root_is_taken_after_one_interpolant_call(self):
+        back, g, calls = self.return_leg()
+        a, b = float(back.t[-2]), float(back.t[-1])
+        assert abs(b - 2.0 * np.pi) <= 1e-12
+        assert flow._bisect_crossing(g, a, b, 1e-12) == b
+        assert calls == [b]
+
+    def test_bisects_when_the_end_is_off_the_root(self):
+        back, g, calls = self.return_leg()
+        a, b = float(back.t[-2]), float(back.t[-1])
+        off = b + 1e-6  # still inside the last step's interpolant, g ~ 1e-6
+        assert g(off) > 1e-12
+        t_star = flow._bisect_crossing(g, a, off, 1e-12)
+        assert abs(g(t_star)) <= 1e-12
+        assert abs(t_star - 2.0 * np.pi) <= 1e-11
+        assert len(calls) > 3
+
+
 class TestClassifyK3:
     def test_zero_matrix_constant(self):
         outcome = classify_k3([0.2, -0.4, 1.0], SkewMatrix.zero(3), BALL3)
@@ -293,11 +343,22 @@ class TestClassifyK3:
         h0 = np.array([0.9, -0.1, 0.3])
         base = classify_k3(h0, m, body)
         assert base.kind == "periodic"
-        for lam in (0.5, 2.0, 10.0):
+        for lam in (0.5, 2.0, 10.0, 1e-300, 1e-20, 1e-15, 1e20, 1e300):
             scaled = classify_k3(h0, SkewMatrix(lam * m.matrix), body)
             assert scaled.kind == "periodic"
             expected = base.period / lam
             assert abs(scaled.period - expected) <= 1e-7 * expected
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-15, 1e300])
+    def test_constant_branch_at_extreme_scales_of_m(self, scale):
+        # The kernel cut and the initial speed must not depend on |M|: at
+        # small scales an absolute cut takes all of R^3 for the kernel.
+        matrix = np.array([[0.0, 1.0, -0.4], [-1.0, 0.0, 0.3], [0.4, -0.3, 0.0]])
+        body = Ellipsoid(np.diag([1.0, 2.0, 3.0]))
+        h0 = aligned_covector(body, so3_kernel_direction(matrix))
+        outcome = classify_k3(h0, SkewMatrix(scale * matrix), body)
+        assert outcome.kind == "constant"
+        assert outcome.parallel_residual <= 1e-9
 
     def test_dichotomy_random_sample(self):
         rng = np.random.default_rng(14)
