@@ -103,7 +103,7 @@ def _csv_header(config: RunConfig, n_casimirs: int) -> list[str]:
 
 
 def cmd_integrate(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
-    """Integrate the coupled system; write trajectory.csv and summary.json."""
+    """Integrate the covector flow and lift it; write trajectory.csv and summary.json."""
     start = time.perf_counter()
     aborted = False
     abort_time = None
@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in [
         ("analyze", "Casimir basis, kernel dimension and symplectic leaf (k = 3)"),
-        ("integrate", "integrate the coupled covector/group system, write CSV + JSON"),
+        ("integrate", "integrate the covector flow, lift it to the group, write CSV + JSON"),
         ("classify", "constant/periodic classification of the extremal (k = 3)"),
         ("gradcheck", "validate analytic support gradients against finite differences"),
     ]:

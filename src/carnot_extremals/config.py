@@ -10,7 +10,6 @@ Schema (matrices row-major, pair keys 1-based "i,j"):
       "t1": 10.0,
       "samples": 1000,
       "seed": 42,
-      "project_level": false,
       "tolerances": {"rtol": 1e-12, ...},
       "gradcheck": {"points": 1000},
       "sweep": [[...], [...]]
@@ -32,9 +31,8 @@ from .bodies import BODY_KINDS, ControlBody, Ellipsoid, LpBall, TranslatedEllips
 from .errors import InputError
 from .flow import IntegrationOptions
 
-_TOP_KEYS = {"k", "body", "M", "h0", "t1", "samples", "seed", "project_level",
-             "tolerances", "gradcheck", "sweep"}
-_TOLERANCE_KEYS = {f.name for f in fields(IntegrationOptions)} - {"project_level"}
+_TOP_KEYS = {"k", "body", "M", "h0", "t1", "samples", "seed", "tolerances", "gradcheck", "sweep"}
+_TOLERANCE_KEYS = {f.name for f in fields(IntegrationOptions)}
 _GRADCHECK_KEYS = {"points", "step"}
 
 
@@ -158,10 +156,7 @@ def _parse_tolerances(doc) -> IntegrationOptions:
         overrides[name] = _as_number(value, f"tolerances.{name}")
         if overrides[name] <= 0.0:
             _fail(f"tolerances.{name}", "must be positive")
-    project = doc.get("project_level", False)
-    if not isinstance(project, bool):
-        _fail("project_level", f"must be a boolean, got {project!r}")
-    return IntegrationOptions(project_level=project, **overrides)
+    return IntegrationOptions(**overrides)
 
 
 def parse_config(doc: dict) -> RunConfig:

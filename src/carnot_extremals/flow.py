@@ -61,7 +61,6 @@ class IntegrationOptions:
     atol: float = 1e-15
     method: str = "DOP853"
     max_drift: float = 1e-7
-    project_level: bool = False
     kernel_rel_tol: float = 1e-10
     parallel_tol: float = 1e-9
     parallel_warn_band: float = 1e-6
@@ -103,7 +102,7 @@ class Trajectory:
     ``skew`` rather than per sample.  ``level_drift[m]`` is |H(h_m) - 1| and
     ``casimir_drift[m, n]`` is |I_a_n(h_m) - I_a_n(h_0)| for the n-th kernel
     basis vector.  ``state``/``control`` evaluate the dense output between
-    grid nodes (unavailable after projected runs).
+    grid nodes.
     """
 
     t: np.ndarray
@@ -206,14 +205,48 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
     return sol
 
 
-def _span(t_span) -> tuple[float, float]:
+def _dense_values(sol, t) -> np.ndarray:
+    """``sol.sol(t)`` for a 1-D array of times t, shape (n, t.size).
+
+    A DOP853 step keeps its interpolant as polynomial rows ``F`` with
+    ``y_old``, ``t_old`` and the step length ``h`` (SciPy internals).
+    Stacked over the steps, they evaluate all times in one pass with the
+    operations ``OdeSolution`` applies step by step, so the bits are the
+    same.  Each time goes to the step ``OdeSolution`` picks: at a step
+    boundary, the step that ends there.  Other methods, and solutions run
+    backwards in time, go through ``sol.sol``.
+    """
+    dense = sol.sol
+    steps = dense.interpolants
+    if not (hasattr(steps[0], "F") and dense.ascending):
+        return dense(t)
+    t = np.asarray(t, dtype=float)
+    seg = np.clip(np.searchsorted(dense.ts, t, side=dense.side) - 1, 0, len(steps) - 1)
+    rows = np.stack([s.F for s in steps])
+    x = ((t - np.array([s.t_old for s in steps])[seg])
+         / np.array([s.h for s in steps])[seg])[:, None]
+    y = np.zeros((t.size, rows.shape[2]))
+    for i in range(rows.shape[1]):
+        y += rows[seg, -1 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    y += np.stack([s.y_old for s in steps])[seg]
+    return y.T
+
+
+def _output_grid(h0, skew: SkewMatrix, body: ControlBody, t_span, samples: int):
+    """h0 rescaled to H = 1 and the uniform grid of samples + 1 output times."""
+    h0 = body.normalize_to_level(h0)
+    if h0.size != skew.k:
+        raise InputError(f"h0 has length {h0.size}, skew matrix expects {skew.k}")
     if np.isscalar(t_span):
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = (float(v) for v in t_span)
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise InputError(f"time span must be finite with t1 > t0, got ({t0}, {t1})")
-    return t0, t1
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    return h0, np.linspace(t0, t1, samples + 1)
 
 
 def _check_drift(ts, level_drift, casimir_drift, max_drift, build_partial):
@@ -245,51 +278,13 @@ def integrate_vertical(h0, skew: SkewMatrix, body: ControlBody, t_span,
     node the drift of H and of each linear integral I_a, a in ker M, is
     logged; if any drift exceeds ``opts.max_drift`` a DriftExceededError is
     raised carrying the offending time and the partial trajectory.
-
-    With ``opts.project_level`` the state is rescaled back to H = 1 at each
-    output node (drift is still logged from the unprojected values); off by
-    default so that integrator problems stay visible.
     """
     opts = opts or IntegrationOptions()
-    h0 = body.normalize_to_level(h0)
-    if h0.size != skew.k:
-        raise InputError(f"h0 has length {h0.size}, skew matrix expects {skew.k}")
-    t0, t1 = _span(t_span)
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-
+    h0, ts = _output_grid(h0, skew, body, t_span, samples)
     basis = kernel_basis(skew, opts.kernel_rel_tol)
-    rhs = _make_rhs(body, skew.matrix)
-    ts = np.linspace(t0, t1, samples + 1)
-    dense = None
-
-    if skew.is_zero:
-        hs = np.tile(h0, (ts.size, 1))  # zero right-hand side, exactly constant
-        dense = _constant_dense(h0)
-    elif opts.project_level:
-        hs = np.empty((ts.size, h0.size))
-        hs[0] = h0
-        state = h0
-        for m in range(ts.size - 1):
-            seg = _solve(rhs, ts[m], ts[m + 1], state, opts)
-            hs[m + 1] = seg.y[:, -1]
-            state = hs[m + 1] / body._support(hs[m + 1])
-    else:
-        sol = _solve(rhs, t0, t1, h0, opts)
-        hs = sol.sol(ts).T
-        dense = sol.sol
-
-    return _assemble_vertical(ts, hs, skew, basis, body, opts, dense=dense)
-
-
-def _constant_dense(h0: np.ndarray) -> Callable:
-    def dense(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return h0.copy()
-        return np.tile(h0[:, None], (1, t.size))
-
-    return dense
+    sol = _solve(_make_rhs(body, skew.matrix), ts[0], ts[-1], h0, opts)
+    return _assemble_vertical(ts, _dense_values(sol, ts).T, skew, basis, body, opts,
+                              dense=sol.sol)
 
 
 def _assemble_vertical(ts, hs, skew, basis, body, opts, dense=None) -> Trajectory:
@@ -500,7 +495,7 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
     rhs = _make_rhs(body, skew.matrix)
     sol = _solve(rhs, 0.0, t_max, h0, opts)
     grid = np.linspace(delta, t_max, samples)
-    dist = np.linalg.norm(sol.sol(grid) - h0[:, None], axis=0)
+    dist = np.linalg.norm(_dense_values(sol, grid) - h0[:, None], axis=0)
     j = int(np.argmin(dist))
 
     # Refine by locating the zero of d/dt ||h(t) - h0||^2, which is smooth

@@ -3,10 +3,12 @@
 Everything here is deliberately decoupled from the library code paths it
 checks: finite differences instead of analytic gradients, matrix
 exponentials instead of the ODE solver, explicit null-space formulas instead
-of the SVD kernel, polygon areas instead of the lifted coordinates.
+of the SVD kernel, polygon areas instead of the lifted coordinates, and one
+solve of the full chart equations instead of the step-wise quadrature lift.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from carnot_extremals import Ellipsoid, LpBall, SkewMatrix, TranslatedEllipsoid
@@ -55,6 +57,31 @@ def so3_kernel_direction(matrix):
 def linear_flow(matrix, h0, t):
     """exp(-t M) h0 via scaling-and-squaring, independent of the integrator."""
     return expm(-t * np.asarray(matrix)) @ np.asarray(h0, dtype=float)
+
+
+def chart_lift(body, matrix, h0, ts):
+    """(x, y) on the grid ts from one solve of the chart equations for (h, x, y).
+
+    dh/dt = -M grad H(h), dx_i/dt = u_i and dx_ij/dt = (x_i u_j - x_j u_i) / 2
+    with u = grad H(h) from the public support_gradient, integrated from the
+    identity with h0 rescaled to H = 1.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    k = matrix.shape[0]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+    def rhs(t, z):
+        u = body.support_gradient(z[:k])
+        x = z[k:2 * k]
+        ydot = [0.5 * (x[i] * u[j] - x[j] * u[i]) for i, j in pairs]
+        return np.concatenate((-matrix @ u, u, ydot))
+
+    h0 = np.asarray(h0, dtype=float)
+    z0 = np.concatenate((h0 / body.support(h0), np.zeros(k + len(pairs))))
+    sol = solve_ivp(rhs, (ts[0], ts[-1]), z0, method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=ts)
+    assert sol.success, sol.message
+    return sol.y[k:2 * k].T, sol.y[2 * k:].T
 
 
 def shoelace_area(xs, ys):

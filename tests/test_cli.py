@@ -78,6 +78,14 @@ class TestExitCodes:
         bad.write_text("{nope")
         assert main(["analyze", "--config", str(bad)]) == 2
 
+    def test_retired_project_level_key_is_exit_2(self, tmp_path, capsys):
+        for doc in (dict(BALL3_CFG, project_level=False),
+                    dict(BALL3_CFG, tolerances={"project_level": 1.0})):
+            code, _ = run(tmp_path, "integrate", doc)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config" in err and "project_level" in err
+
     def test_classify_rejects_other_ranks_with_exit_2(self, tmp_path, capsys):
         doc = {
             "k": 4,

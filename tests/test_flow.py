@@ -156,12 +156,6 @@ class TestIntegrateVertical:
         assert err.partial.h.shape == (err.partial.t.size, 3)
         assert (err.partial.level_drift <= 1e-12).all()
 
-    def test_projection_flag_keeps_level(self):
-        opts = IntegrationOptions(project_level=True)
-        traj = integrate_vertical([1.0, 0.4, -0.2], ROT12, BALL3, 10.0,
-                                  opts=opts, samples=100)
-        assert traj.max_level_drift <= 1e-9
-
     def test_rejects_abnormal_initial_covector(self):
         with pytest.raises(AbnormalCovectorError):
             integrate_vertical(np.zeros(3), ROT12, BALL3, 1.0)
@@ -312,6 +306,31 @@ class TestBisectCrossing:
         assert abs(g(t_star)) <= 1e-12
         assert abs(t_star - 2.0 * np.pi) <= 1e-11
         assert len(calls) > 3
+
+
+class TestDenseValues:
+    @pytest.mark.parametrize("method", ["DOP853", "RK45"])
+    def test_equals_the_ode_solution_bit_for_bit(self, monkeypatch, method):
+        rng = np.random.default_rng(11)
+        rhs = flow._make_rhs(LpBall(p=3.5), random_skew(rng, 4).matrix)
+        opts = IntegrationOptions(method=method, rtol=1e-9, atol=1e-12)
+        sol = flow._solve(rhs, 0.5, 6.0, rng.standard_normal(4), opts)
+        assert sol.t.size > 10
+        # unsorted times, both ends, and every step boundary, where the
+        # step that ends there is the one evaluated
+        t = np.concatenate((rng.uniform(0.5, 6.0, 300), sol.t[::-1], [6.0, 0.5], sol.t))
+        want = sol.sol(t)
+        if method == "DOP853":
+            # the stacked evaluation must be the path taken: a SciPy release
+            # that changes the interpolant layout fails here instead of
+            # falling back to the per-step loop unnoticed
+            def refuse(self, t):
+                raise AssertionError("OdeSolution.__call__ used for DOP853")
+
+            monkeypatch.setattr(type(sol.sol), "__call__", refuse)
+        got = flow._dense_values(sol, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestClassifyK3:
