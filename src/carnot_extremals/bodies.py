@@ -41,7 +41,14 @@ class ValidationReport:
 
 
 class ControlBody(abc.ABC):
-    """Base class for control sets exposed through their support function."""
+    """Base class for control sets exposed through their support function.
+
+    The vertical flow is driven by ``_level_gradient``, the gradient of
+    H^s / s for an exponent s > 0 each family picks.  It is H^(s-1) grad H:
+    parallel to grad H and equal to it on the level set H = 1, so H and
+    every linear integral stay exact first integrals and the flow on that
+    level set is unchanged.  The default is grad H itself (s = 1).
+    """
 
     kind: ClassVar[str]
 
@@ -64,10 +71,12 @@ class ControlBody(abc.ABC):
     @abc.abstractmethod
     def _gradient(self, h: np.ndarray) -> np.ndarray: ...
 
+    def _level_gradient(self, h: np.ndarray) -> np.ndarray:
+        return self._gradient(h)
+
     # Row kernels: the same maps on an (N, k) array of nonzero covectors,
     # returning (N,) support values and (N, k) gradients.  The scalar forms
-    # serve one point per ODE right-hand-side call; these serve whole sampled
-    # trajectories.
+    # serve one point at a time; these serve whole sampled trajectories.
 
     @abc.abstractmethod
     def _support_batch(self, hs: np.ndarray) -> np.ndarray: ...
@@ -203,6 +212,10 @@ class Ellipsoid(ControlBody):
         _, ah, d, _ = _quadratic(self.shape_matrix, h)
         return ah / math.sqrt(d)
 
+    def _level_gradient(self, h):
+        # grad(H^2 / 2) = A h: linear, no square root.
+        return self.shape_matrix @ h
+
     def _support_batch(self, hs):
         _, _, d, e = _quadratic_rows(self.shape_matrix, hs)
         return np.ldexp(np.sqrt(d), e)
@@ -264,6 +277,15 @@ class LpBall(ControlBody):
         c = sum([wi**q for wi in w]) ** (e / q)
         r = self.radius
         return np.array([(r if v >= 0.0 else -r) * wi**e / c for wi, v in zip(w, vals)])
+
+    def _level_gradient(self, h):
+        # grad(H^q / q) = r sign(h_i) (r |h_i|)^(q-1): no norm.  As r |h_i| <= H,
+        # the clamp at 2 acts only where H > 2, off the level set, where a
+        # rejected trial stage at p near 1 would otherwise overflow.
+        r = self.radius
+        e = self.q - 1.0
+        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), 2.0) ** e
+                         for v in h.tolist()])
 
     def _support_batch(self, hs):
         a = np.abs(hs)

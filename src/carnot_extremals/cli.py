@@ -16,6 +16,7 @@ config and seed, except for the wall_time_s field of integrate summaries.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -240,7 +241,9 @@ def cmd_gradcheck(config: RunConfig) -> tuple[dict, int]:
     return report, (0 if passed else 3)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="carnot-extremals",
         description="Extremal analysis for left-invariant time-optimal problems "

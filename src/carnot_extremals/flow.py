@@ -187,7 +187,12 @@ def extremal_control(h, body: ControlBody) -> np.ndarray:
 
 
 def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-    grad = body._gradient
+    """-M grad(H^s / s)(h), the solver's right-hand side (see ControlBody).
+
+    On the level set H = 1 it equals -M grad H(h), and it conserves H and
+    every I_a exactly as that field does, at a lower cost per call.
+    """
+    grad = body._level_gradient
     neg = -matrix
 
     def rhs(t, h):
@@ -319,11 +324,12 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     falls through zero once on the far side of the curve and rises through
     zero again only at the full return.  The search makes two event stops
     of the solver: one integration runs until g falls through zero, and a
-    second one, started there, runs until g rises through zero.  Only the
-    second keeps dense output; the first is read at its end point alone.
-    The solver's event root is the candidate when |g| <= opts.g_tol there;
-    otherwise it is refined by bisection on the dense output of the last
-    step until |g| <= opts.g_tol.  The candidate is accepted if it lands within
+    second one, started there, runs until g rises through zero.  Neither
+    keeps dense output: the first is read at its end point, the second at
+    the solver's event root and the state there.  That root is the
+    candidate when |g| <= opts.g_tol there; otherwise the last step is
+    solved again with dense output and the root refined by bisection on it
+    until |g| <= opts.g_tol.  The candidate is accepted if it lands within
     opts.capture_radius of h0 with velocity aligned to the initial one;
     otherwise the two stops repeat from the candidate.  So the search
     integrates up to the first return and no further: there are no fixed
@@ -366,12 +372,13 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
             break
         t_far = float(far.t[-1])
         rises = crossing(t_far, -1.0)
-        back = _solve(rhs, t_far, t_max, far.y[:, -1], opts, events=rises)
+        back = _solve(rhs, t_far, t_max, far.y[:, -1], opts, events=rises, dense=False)
         if back.status != 1:
             break
         a, b = float(back.t[-2]), float(back.t[-1])
-        t_star = _bisect_crossing(lambda t: rises(t, back.sol(t)), a, b, opts.g_tol)
-        h_star = back.sol(t_star)
+        state_at = _last_step(rhs, back, opts)
+        t_star = _bisect_crossing(lambda t: rises(t, state_at(t)), a, b, opts.g_tol)
+        h_star = state_at(t_star)
         residual = float(np.linalg.norm(h_star - h0))
         if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
             logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
@@ -380,11 +387,34 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     raise HorizonExhaustedError(f"no first return found within t_max = {t_max:.6g}", t_max=t_max)
 
 
+def _last_step(rhs, leg, opts: IntegrationOptions) -> Callable[[float], np.ndarray]:
+    """h(t) on the last step of ``leg``, a solve stopped by a terminal event.
+
+    At the step end, the event root, this is the solver's state there.  Any
+    other time re-solves the step once, with dense output, from its start.
+    """
+    a, b = float(leg.t[-2]), float(leg.t[-1])
+    end = leg.y[:, -1]
+    dense = None
+
+    def state_at(t):
+        nonlocal dense
+        if t == b:
+            return end
+        if dense is None:
+            dense = _solve(rhs, a, b, leg.y[:, -2], opts).sol
+        return dense(t)
+
+    return state_at
+
+
 def _bisect_crossing(g, a, b, g_tol) -> float:
     """Root of g on the step [a, b] whose end b is the solver's event root.
 
     The solver has already located the root to a few ulp, so b is returned
-    as it is when |g(b)| <= g_tol; only otherwise is [a, b] bisected.
+    after one evaluation of g when |g(b)| <= g_tol.  Only otherwise is [a, b]
+    bisected; in ``detect_period`` that is the one case where the last step
+    is solved again with dense output (see _last_step).
     """
     if abs(g(b)) <= g_tol:
         return b

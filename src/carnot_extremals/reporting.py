@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError
 
 FLOAT_FORMAT = "%.17g"
+_CSV_BLOCK = 256  # rows rendered per % operation by write_csv
 
 
 def format_float(value: float) -> str:
@@ -106,8 +107,9 @@ def write_report(path, report: dict) -> str:
 def write_csv(path, header: list[str], rows) -> None:
     """Write a 2-d array of numbers under a header; floats use the report format.
 
-    Finiteness is checked once for the whole array, and each row is
-    rendered by a single % operation on a line template.
+    Finiteness is checked once for the whole array.  Rows are rendered in
+    blocks of _CSV_BLOCK, each by a single % operation on the line template
+    repeated once per row, so only one block is held as Python floats.
     """
     rows = np.asarray(rows, dtype=float)
     finite = np.isfinite(rows)
@@ -116,5 +118,6 @@ def write_csv(path, header: list[str], rows) -> None:
     line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows.tolist():
-            fh.write(line % tuple(row))
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))

@@ -3,13 +3,16 @@
 Everything here is deliberately decoupled from the library code paths it
 checks: finite differences instead of analytic gradients, matrix
 exponentials instead of the ODE solver, explicit null-space formulas instead
-of the SVD kernel, polygon areas instead of the lifted coordinates, and one
-solve of the full chart equations instead of the step-wise quadrature lift.
+of the SVD kernel, polygon areas instead of the lifted coordinates, one
+solve of the full chart equations instead of the step-wise quadrature lift,
+and a dense solve with root-finding on the distance to h0 instead of the
+event-driven period search.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from carnot_extremals import Ellipsoid, LpBall, SkewMatrix, TranslatedEllipsoid
 
@@ -144,3 +147,33 @@ def aligned_covector(body, a):
     else:
         raise TypeError(f"no closed-form aligned covector for {type(body).__name__}")
     return h / body.support(h)
+
+
+def first_return(body, matrix, h0, t_guess, rtol=1e-13, atol=1e-15):
+    """First return time of dh/dt = -M grad H(h) to h0, near t_guess.
+
+    One dense solve of the flow with the public support_gradient on
+    [0, 1.05 t_guess]; the return is the zero of d/dt |h(t) - h0|^2 found by
+    brentq within 1e-3 t_guess of t_guess.  Returns (T, |h(T) - h0|, the
+    least |h(t) - h0| sampled on [0.02 T, 0.98 T]); the last is bounded away
+    from zero when T is the first return.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+
+    def rhs(t, h):
+        return -matrix @ body.support_gradient(h)
+
+    h0 = np.asarray(h0, dtype=float)
+    sol = solve_ivp(rhs, (0.0, 1.05 * t_guess), h0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True)
+    assert sol.success, sol.message
+
+    def slope(t):
+        h = sol.sol(t)
+        return float((h - h0) @ rhs(t, h))
+
+    period = brentq(slope, (1.0 - 1e-3) * t_guess, (1.0 + 1e-3) * t_guess,
+                    xtol=1e-14 * t_guess, rtol=4.0 * np.finfo(float).eps)
+    inner = np.linspace(0.02 * period, 0.98 * period, 2000)
+    closest = float(np.linalg.norm(sol.sol(inner) - h0[:, None], axis=0).min())
+    return period, float(np.linalg.norm(sol.sol(period) - h0)), closest

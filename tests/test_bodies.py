@@ -9,7 +9,17 @@ from carnot_extremals import (
     TranslatedEllipsoid,
 )
 
-from oracles import FAMILIES, brute_force_support, fd_gradient, random_body, random_covector
+from carnot_extremals.flow import _make_rhs
+
+from oracles import (
+    FAMILIES,
+    brute_force_support,
+    fd_gradient,
+    random_body,
+    random_covector,
+    random_skew,
+    random_spd,
+)
 
 
 def test_support_euclidean_ball():
@@ -289,3 +299,73 @@ def test_batch_kernels_take_empty_input():
     for body in _batch_bodies(np.random.default_rng(46), 3):
         assert body._support_batch(np.empty((0, 3))).shape == (0,)
         assert body._gradient_batch(np.empty((0, 3))).shape == (0, 3)
+
+
+# --- the level-set field grad(H^s / s) that drives the vertical flow
+
+LEVEL_P = (1.01, 1.3, 4.0, 50.0)
+
+
+def _level_bodies(rng, k):
+    return [Ellipsoid(random_spd(rng, k)), random_body(rng, k, "translated_ellipsoid")] + [
+        LpBall(p=p, radius=rng.uniform(0.5, 2.0)) for p in LEVEL_P]
+
+
+def _level_exponent(body):
+    """The s of grad(H^s / s) for each family (see ControlBody)."""
+    if isinstance(body, LpBall):
+        return body.q
+    return 2.0 if isinstance(body, Ellipsoid) else 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_level_gradient_is_the_gradient_on_the_level_set(k):
+    # grad(H^s / s) = H^(s-1) grad H.  normalize_to_level leaves H(h) off 1
+    # by an ulp or so, which the factor H^(s-1) amplifies (s - 1 = 100 at
+    # p = 1.01), so the bar is the kernel's rounding, (s + 4) eps, plus
+    # (s - 1) times that offset.
+    rng = np.random.default_rng(60 + k)
+    for body in _level_bodies(rng, k):
+        s = _level_exponent(body)
+        for _ in range(40):
+            h = body.normalize_to_level(random_covector(rng, k))
+            g = body._gradient(h)
+            offset = abs(body._support(h) - 1.0) + ULP
+            bar = ((s + 4.0) * ULP + (s - 1.0) * offset) * np.abs(g).max()
+            assert np.abs(body._level_gradient(h) - g).max() <= bar, (body, h)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_level_gradient_is_parallel_to_the_gradient_off_the_level_set(k):
+    rng = np.random.default_rng(70 + k)
+    for body in _level_bodies(rng, k):
+        for _ in range(40):
+            h = body.normalize_to_level(random_covector(rng, k)) * rng.uniform(0.6, 1.6)
+            level, g = body._level_gradient(h), body._gradient(h)
+            np.testing.assert_allclose(level / np.linalg.norm(level), g / np.linalg.norm(g),
+                                       rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("size", [3.0, 1e3, 1e4, 1e300])
+def test_lp_level_gradient_is_clamped_far_off_the_level_set(size):
+    # Rejected trial stages of the solver can sample covectors far from
+    # H = 1; at p = 1.01 the power (r |h_i|)^100 would overflow there.
+    body = LpBall(p=1.01, radius=0.7)
+    h = np.array([size, -0.5 * size, 0.2]) / body.radius
+    level = body._level_gradient(h)
+    assert np.all(np.isfinite(level))
+    assert np.all(np.abs(level) <= body.radius * 2.0 ** (body.q - 1.0))
+    assert np.array_equal(np.sign(level), np.sign(h))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_flow_field_is_tangent_to_the_level_set(k):
+    rng = np.random.default_rng(80 + k)
+    for family in FAMILIES:
+        for _ in range(10):
+            body = random_body(rng, k, family)
+            matrix = random_skew(rng, k).matrix
+            h = body.normalize_to_level(random_covector(rng, k))
+            grad = body.support_gradient(h)
+            velocity = _make_rhs(body, matrix)(0.0, h)
+            assert abs(grad @ velocity) <= 1e-14 * np.linalg.norm(grad) * np.linalg.norm(velocity)

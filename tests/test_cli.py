@@ -311,3 +311,14 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["leaf"] == "two_dim"
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        from carnot_extremals import cli
+
+        assert run(tmp_path, "analyze", BALL3_CFG)[0] == 0
+        parser = cli._build_parser()
+        with pytest.raises(SystemExit):
+            main(["analyze"])  # usage error: --config is missing
+        assert "--config" in capsys.readouterr().err
+        assert run(tmp_path, "gradcheck", dict(BALL3_CFG, gradcheck={"points": 5}))[0] == 0
+        assert cli._build_parser() is parser

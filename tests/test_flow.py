@@ -26,8 +26,10 @@ from carnot_extremals import (
 from oracles import (
     FAMILIES,
     aligned_covector,
+    first_return,
     linear_flow,
     random_body,
+    random_covector,
     random_skew,
     random_spd,
     so3_kernel_direction,
@@ -222,15 +224,28 @@ class TestDetectPeriod:
         assert solves[-1].t.size == 2  # the return leg took a single step
         assert abs(found.period - 2.0 * tau) <= 1e-9 * tau
 
-    def test_only_the_return_leg_keeps_dense_output(self, monkeypatch):
-        # The far leg is read at its end point alone; the return leg's dense
-        # output is where the candidate and its residual are evaluated.
+    def test_no_leg_keeps_dense_output(self, monkeypatch):
+        # The far leg is read at its end point and the return leg at the
+        # solver's event root, whose state the solver already holds.
         solves = record_solves(monkeypatch)
         detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
         assert len(solves) == 2
         far, back = solves
         assert far.sol is None
-        assert back.sol is not None
+        assert back.sol is None
+
+    def test_bisection_fallback_solves_the_last_step_again(self, monkeypatch):
+        # With g_tol = 0 the event root (|g| ~ 2e-16 there) is not taken as
+        # it is: the last step of the return leg is solved again, with dense
+        # output, and bisected.
+        solves = record_solves(monkeypatch)
+        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0,
+                              opts=IntegrationOptions(g_tol=0.0))
+        assert len(solves) == 3
+        far, back, step = solves
+        assert step.sol is not None
+        assert (step.t[0], step.t[-1]) == (back.t[-2], back.t[-1])
+        assert abs(found.period - 2.0 * np.pi) <= 1e-12
 
     def test_rotation_flow_sqrt2_speed(self):
         m = np.sqrt(2.0) * ROT12.matrix
@@ -410,6 +425,19 @@ class TestClassifyK3:
         assert outcome.period == pytest.approx(1.098, abs=1e-3)
         integrated = sum(sol.t[-1] - sol.t[0] for sol in solves)
         assert integrated <= 1.05 * outcome.period
+
+    @pytest.mark.parametrize("p", [1.01, 1.3, 4.0, 50.0])
+    def test_period_matches_first_return_oracle_at_extreme_p(self, p):
+        rng = np.random.default_rng(int(100 * p))
+        for _ in range(4):
+            body = LpBall(p=p, radius=rng.uniform(0.5, 2.0))
+            skew = random_skew(rng, 3)
+            h0 = body.normalize_to_level(random_covector(rng, 3))
+            outcome = classify_k3(h0, skew, body)
+            assert outcome.kind == "periodic"
+            period, residual, closest = first_return(body, skew.matrix, h0, outcome.period)
+            assert residual <= 1e-8 and closest > 1e-3
+            assert abs(outcome.period - period) <= 1e-9 * period
 
 
 _UNIT = st.floats(-1.0, 1.0)

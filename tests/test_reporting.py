@@ -32,3 +32,16 @@ def test_csv_rejects_non_finite_values_by_name(tmp_path, bad):
     rows[2, 1] = bad
     with pytest.raises(InputError, match="non-finite numbers, got " + repr(float(bad))):
         write_csv(tmp_path / "bad.csv", ["a", "b", "c"], rows)
+
+
+def test_csv_blocks_give_the_bytes_of_row_by_row_rendering(tmp_path):
+    # 3001 rows: eleven full blocks and a partial one
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((3001, 28)) * 10.0 ** rng.integers(-300, 300, (3001, 28))
+    rows[5, 3], rows[7, 0] = 0.0, -0.0
+    header = [f"c{j}" for j in range(28)]
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+    assert path.read_text() == expected
