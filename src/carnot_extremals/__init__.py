@@ -35,15 +35,12 @@ from .flow import (
     PeriodResult,
     QuasiPeriodResult,
     Trajectory,
-    VerticalState,
     classify_k3,
     detect_period,
-    extremal_control,
     integrate_vertical,
     quasi_periodicity_check,
-    vertical_rhs,
 )
-from .lift import GroupPoint, HorizontalTrajectory, horizontal_rhs, integrate_horizontal
+from .lift import GroupPoint, HorizontalTrajectory, integrate_horizontal
 
 __version__ = "0.1.0"
 
@@ -73,12 +70,10 @@ __all__ = [
     "TranslatedEllipsoid",
     "UnsupportedRankError",
     "ValidationReport",
-    "VerticalState",
     "bracket_table",
     "casimir_value",
     "classify_k3",
     "detect_period",
-    "extremal_control",
     "integrate_horizontal",
     "integrate_vertical",
     "kernel_basis",
@@ -86,5 +81,4 @@ __all__ = [
     "load_config",
     "parse_config",
     "quasi_periodicity_check",
-    "vertical_rhs",
 ]

@@ -12,7 +12,7 @@ first integrals of the extremal flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -190,13 +190,6 @@ class CasimirBasis:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.vectors)
-
-    def values(self, h: np.ndarray) -> np.ndarray:
-        """Evaluate every Casimir at h."""
-        return self.vectors @ h
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -167,11 +167,10 @@ def _classification_report(config: RunConfig, h0: np.ndarray) -> dict:
 
 
 def cmd_classify(config: RunConfig) -> tuple[dict, int]:
-    """Constant/periodic classification (k = 3 only); sweeps run one h0 at a time."""
-    if config.k != 3:
-        raise UnsupportedRankError(
-            f"classification is only supported for k = 3, got k = {config.k}"
-        )
+    """Constant/periodic classification (k = 3 only); sweeps run one h0 at a time.
+
+    classify_k3 rejects other k with UnsupportedRankError before any work.
+    """
     report = {"command": "classify", "k": config.k, "body": config.body.to_config(),
               "skew": _skew_map(config), "seed": config.seed}
     if config.sweep:

@@ -148,11 +148,6 @@ def _parse_tolerances(doc) -> IntegrationOptions:
     for name, value in raw.items():
         if name == "t_max" and value is None:
             continue
-        if name == "method":
-            if not isinstance(value, str):
-                _fail("tolerances.method", f"must be a string, got {value!r}")
-            overrides[name] = value
-            continue
         overrides[name] = _as_number(value, f"tolerances.{name}")
         if overrides[name] <= 0.0:
             _fail(f"tolerances.{name}", "must be positive")

@@ -26,7 +26,6 @@ from scipy.optimize import brentq
 from .algebra import CasimirBasis, SkewMatrix, kernel_basis
 from .bodies import ControlBody
 from .errors import (
-    AbnormalCovectorError,
     DriftExceededError,
     HorizonExhaustedError,
     InputError,
@@ -43,15 +42,12 @@ UNCLASSIFIED = "unclassified"
 _BISECT_MAX_ITER = 200
 
 
-_METHODS = ("DOP853", "RK45")
-
-
 @dataclass(frozen=True)
 class IntegrationOptions:
     """Tolerances and knobs shared by the flow operations.
 
-    The solver is an adaptive embedded Runge-Kutta pair with dense output:
-    Dormand-Prince 8(5,3) by default, with the 5(4) pair selectable.  The
+    The solver is fixed: Dormand-Prince 8(5,3) (SciPy's DOP853), an adaptive
+    embedded Runge-Kutta pair with dense output, run forward in time.  The
     default tolerances keep invariant drift orders of magnitude under the
     1e-8 monitoring bars on horizons of a few hundred time units, including
     near equilibria and across the mild gradient kinks of lp bodies.
@@ -59,7 +55,6 @@ class IntegrationOptions:
 
     rtol: float = 1e-13
     atol: float = 1e-15
-    method: str = "DOP853"
     max_drift: float = 1e-7
     kernel_rel_tol: float = 1e-10
     parallel_tol: float = 1e-9
@@ -68,30 +63,6 @@ class IntegrationOptions:
     return_residual_tol: float = 1e-8
     g_tol: float = 1e-12
     t_max: float | None = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise InputError(f"method must be one of {_METHODS}, got {self.method!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class VerticalState:
-    """Covector h plus the constant skew matrix of second-layer momenta."""
-
-    h: np.ndarray
-    skew: SkewMatrix
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.ndim != 1 or h.size != self.skew.k:
-            raise InputError(f"state vector must have length {self.skew.k}, got shape {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise InputError("state vector has non-finite entries")
-        if float(np.abs(h).max()) < 1e-300:
-            raise AbnormalCovectorError("h = 0 is the excluded abnormal case")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,21 +142,6 @@ class ExtremalClass:
     warnings: tuple[str, ...] = ()
 
 
-def vertical_rhs(state: VerticalState, body: ControlBody) -> np.ndarray:
-    """Right-hand side -M grad H(h) of the vertical system.
-
-    Orthogonal to grad H(h) by skew symmetry, which is what conserves H
-    along the flow.
-    """
-    u = body.support_gradient(state.h)
-    return -(state.skew.matrix @ u)
-
-
-def extremal_control(h, body: ControlBody) -> np.ndarray:
-    """Extremal control u = grad H(h); lies on the boundary of the body."""
-    return body.support_gradient(h)
-
-
 def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
     """-M grad(H^s / s)(h), the solver's right-hand side (see ControlBody).
 
@@ -203,7 +159,7 @@ def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndar
 
 def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, events=None,
            dense: bool = True):
-    sol = solve_ivp(rhs, (t0, t1), z0, method=opts.method, rtol=opts.rtol, atol=opts.atol,
+    sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853", rtol=opts.rtol, atol=opts.atol,
                     dense_output=dense, events=events)
     if not sol.success:
         raise IntegrationError(f"solver failed near t = {sol.t[-1]:.6g}: {sol.message}")
@@ -218,13 +174,11 @@ def _dense_values(sol, t) -> np.ndarray:
     Stacked over the steps, they evaluate all times in one pass with the
     operations ``OdeSolution`` applies step by step, so the bits are the
     same.  Each time goes to the step ``OdeSolution`` picks: at a step
-    boundary, the step that ends there.  Other methods, and solutions run
-    backwards in time, go through ``sol.sol``.
+    boundary, the step that ends there.  This takes a forward DOP853 solve,
+    the only kind ``_solve`` makes.
     """
     dense = sol.sol
     steps = dense.interpolants
-    if not (hasattr(steps[0], "F") and dense.ascending):
-        return dense(t)
     t = np.asarray(t, dtype=float)
     seg = np.clip(np.searchsorted(dense.ts, t, side=dense.side) - 1, 0, len(steps) - 1)
     rows = np.stack([s.F for s in steps])

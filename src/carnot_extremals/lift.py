@@ -71,18 +71,6 @@ class GroupPoint:
         return self.x.size
 
 
-def horizontal_rhs(q: GroupPoint, u) -> tuple[np.ndarray, np.ndarray]:
-    """Chart velocity (dx, dy) of the frame driven by control u at point q."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (q.k,):
-        raise InputError(f"control must have length {q.k}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InputError("control has non-finite entries")
-    rows, cols = AlgebraSpec(q.k).pair_rows_cols()
-    ydot = 0.5 * (q.x[rows] * u[cols] - q.x[cols] * u[rows])
-    return u.copy(), ydot
-
-
 @dataclass(frozen=True, eq=False)
 class HorizontalTrajectory:
     """Vertical trajectory and its group lift (x, y) on one uniform grid."""
@@ -94,9 +82,6 @@ class HorizontalTrajectory:
     @property
     def endpoint(self) -> GroupPoint:
         return GroupPoint(self.x[-1], self.y[-1])
-
-    def points(self) -> list[GroupPoint]:
-        return [GroupPoint(xm, ym) for xm, ym in zip(self.x, self.y)]
 
     def control(self, t: float) -> np.ndarray:
         """Extremal control at arbitrary t from the dense output."""

@@ -9,6 +9,7 @@ quoting.
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return _encode_string(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -65,32 +66,11 @@ def _encode(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{pad_in}{_encode_string(str(key))}: {_encode(value, indent, level + 1)}"
+            f"{pad_in}{_encode(str(key), indent, level)}: {_encode(value, indent, level + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise InputError(f"cannot serialize {type(obj).__name__} into a report")
-
-
-def _encode_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def dumps_report(report: dict, indent: int = 2) -> str:

@@ -79,12 +79,13 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(bad)]) == 2
 
     def test_retired_project_level_key_is_exit_2(self, tmp_path, capsys):
-        for doc in (dict(BALL3_CFG, project_level=False),
-                    dict(BALL3_CFG, tolerances={"project_level": 1.0})):
+        for doc, key in ((dict(BALL3_CFG, project_level=False), "project_level"),
+                         (dict(BALL3_CFG, tolerances={"project_level": 1.0}), "project_level"),
+                         (dict(BALL3_CFG, tolerances={"method": "RK45"}), "method")):
             code, _ = run(tmp_path, "integrate", doc)
             assert code == 2
             err = capsys.readouterr().err
-            assert "config" in err and "project_level" in err
+            assert "config" in err and key in err
 
     def test_classify_rejects_other_ranks_with_exit_2(self, tmp_path, capsys):
         doc = {
@@ -93,9 +94,11 @@ class TestExitCodes:
             "M": {"1,2": 1.0, "3,4": 1.0},
             "h0": [1.0, 0.0, 0.0, 0.0],
         }
-        code, _ = run(tmp_path, "classify", doc)
-        assert code == 2
-        assert "k = 3" in capsys.readouterr().err
+        # with a sweep the error comes back through the one-worker pool
+        for cfg in (doc, dict(doc, sweep=[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])):
+            code, _ = run(tmp_path, "classify", cfg)
+            assert code == 2
+            assert "k = 3" in capsys.readouterr().err
 
     def test_drift_abort_is_exit_3_with_wellformed_csv(self, tmp_path):
         doc = dict(BALL3_CFG,

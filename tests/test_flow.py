@@ -14,13 +14,10 @@ from carnot_extremals import (
     LpBall,
     SkewMatrix,
     UnsupportedRankError,
-    VerticalState,
     classify_k3,
     detect_period,
-    extremal_control,
     integrate_vertical,
     quasi_periodicity_check,
-    vertical_rhs,
 )
 
 from oracles import (
@@ -56,39 +53,6 @@ def record_solves(monkeypatch):
 
     monkeypatch.setattr(flow, "_solve", recording)
     return solves
-
-
-class TestVerticalRhs:
-    def test_zero_matrix_gives_zero_velocity(self):
-        state = VerticalState(np.array([0.3, -0.2, 0.9]), SkewMatrix.zero(3))
-        np.testing.assert_array_equal(vertical_rhs(state, BALL3), np.zeros(3))
-
-    def test_rotation_generator(self):
-        state = VerticalState(np.array([1.0, 0.0, 0.0]), ROT12)
-        np.testing.assert_allclose(vertical_rhs(state, BALL3), [0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_casimir_direction_is_an_equilibrium(self):
-        # grad H parallel to the kernel direction kills -M grad H
-        state = VerticalState(np.array([0.0, 0.0, 1.0]), ROT12)
-        np.testing.assert_allclose(vertical_rhs(state, BALL3), np.zeros(3), atol=1e-15)
-
-    def test_orthogonal_to_control(self):
-        rng = np.random.default_rng(0)
-        for family in FAMILIES:
-            body = random_body(rng, 3, family)
-            for _ in range(100):
-                m = random_skew(rng, 3)
-                h = body.normalize_to_level(rng.standard_normal(3))
-                rhs = vertical_rhs(VerticalState(h, m), body)
-                assert abs(rhs @ body.support_gradient(h)) <= 1e-12
-
-    def test_rejects_abnormal_state(self):
-        with pytest.raises(AbnormalCovectorError):
-            VerticalState(np.zeros(3), ROT12)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            VerticalState(np.ones(4), ROT12)
 
 
 class TestIntegrateVertical:
@@ -165,20 +129,6 @@ class TestIntegrateVertical:
     def test_rejects_bad_span(self):
         with pytest.raises(InputError):
             integrate_vertical([1.0, 0.0, 0.0], ROT12, BALL3, (1.0, 1.0))
-
-
-def test_extremal_control_examples():
-    np.testing.assert_allclose(extremal_control([0.6, 0.8], Ellipsoid(np.eye(2))),
-                               [0.6, 0.8], atol=1e-15)
-    a = np.diag([4.0, 1.0])
-    body = Ellipsoid(a)
-    h = body.normalize_to_level([1.0, 1.0])
-    np.testing.assert_allclose(extremal_control(h, body), a @ h, atol=1e-12)
-    lp = LpBall(p=4.0)
-    u = extremal_control(np.array([1.0, 1.0, 0.0]) / 2**0.75, lp)
-    assert u[0] == pytest.approx(u[1], abs=1e-14)
-    assert u[2] == 0.0
-    assert np.linalg.norm(u, ord=4) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDetectPeriod:
@@ -324,25 +274,23 @@ class TestBisectCrossing:
 
 
 class TestDenseValues:
-    @pytest.mark.parametrize("method", ["DOP853", "RK45"])
-    def test_equals_the_ode_solution_bit_for_bit(self, monkeypatch, method):
+    def test_equals_the_ode_solution_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(11)
         rhs = flow._make_rhs(LpBall(p=3.5), random_skew(rng, 4).matrix)
-        opts = IntegrationOptions(method=method, rtol=1e-9, atol=1e-12)
+        opts = IntegrationOptions(rtol=1e-9, atol=1e-12)
         sol = flow._solve(rhs, 0.5, 6.0, rng.standard_normal(4), opts)
         assert sol.t.size > 10
         # unsorted times, both ends, and every step boundary, where the
         # step that ends there is the one evaluated
         t = np.concatenate((rng.uniform(0.5, 6.0, 300), sol.t[::-1], [6.0, 0.5], sol.t))
         want = sol.sol(t)
-        if method == "DOP853":
-            # the stacked evaluation must be the path taken: a SciPy release
-            # that changes the interpolant layout fails here instead of
-            # falling back to the per-step loop unnoticed
-            def refuse(self, t):
-                raise AssertionError("OdeSolution.__call__ used for DOP853")
 
-            monkeypatch.setattr(type(sol.sol), "__call__", refuse)
+        # the stacked evaluation must be the path taken, never OdeSolution
+        # itself: a SciPy release that changes the interpolant layout fails here
+        def refuse(self, t):
+            raise AssertionError("OdeSolution.__call__ used for DOP853")
+
+        monkeypatch.setattr(type(sol.sol), "__call__", refuse)
         got = flow._dense_values(sol, t)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -410,6 +358,26 @@ class TestClassifyK3:
         tilt = np.array([1.0, 0.0, 0.0]) * 3e-8
         outcome = classify_k3(h0 + tilt, ROT12, BALL3)
         assert outcome.warnings
+
+    @pytest.mark.parametrize("eps,bar,warns", [(1e-4, 1e-8, False), (1e-5, 1e-8, False),
+                                               (1e-7, 1e-6, True)])
+    def test_small_orbit_near_the_equilibrium(self, eps, bar, warns):
+        # h0 is eps off the constant branch, so the orbit is far smaller than
+        # capture_radius = 1e-3; the period still matches 2 pi / omega, and
+        # only starts inside the warn band carry the ill-conditioning warning
+        rng = np.random.default_rng(16)
+        for _ in range(12):
+            a = random_spd(rng, 3)
+            body = Ellipsoid(a)
+            m = random_skew(rng, 3)
+            h_eq = aligned_covector(body, so3_kernel_direction(m.matrix))
+            v = rng.standard_normal(3)
+            v -= (v @ h_eq) / (h_eq @ h_eq) * h_eq
+            outcome = classify_k3(h_eq + eps * v / np.linalg.norm(v), m, body)
+            assert outcome.kind == "periodic"
+            assert bool(outcome.warnings) == warns
+            expected = 2.0 * np.pi / np.abs(np.linalg.eigvals(m.matrix @ a).imag).max()
+            assert abs(outcome.period - expected) <= bar * expected
 
     def test_rejects_other_ranks(self):
         with pytest.raises(UnsupportedRankError):

@@ -12,7 +12,6 @@ from carnot_extremals import (
     LpBall,
     SkewMatrix,
     TranslatedEllipsoid,
-    horizontal_rhs,
     integrate_horizontal,
 )
 
@@ -32,25 +31,6 @@ class TestGroupPoint:
     def test_rejects_inconsistent_layers(self):
         with pytest.raises(InputError):
             GroupPoint([1.0, 2.0, 3.0], [0.0])
-
-
-class TestHorizontalRhs:
-    def test_at_identity_second_layer_rates_vanish(self):
-        q = GroupPoint.identity(3)
-        u = np.array([0.3, -0.7, 1.1])
-        xdot, ydot = horizontal_rhs(q, u)
-        np.testing.assert_array_equal(xdot, u)
-        np.testing.assert_array_equal(ydot, np.zeros(3))
-
-    def test_heisenberg_area_rate(self):
-        q = GroupPoint([1.0, 0.0], [0.0])
-        xdot, ydot = horizontal_rhs(q, [0.0, 1.0])
-        np.testing.assert_array_equal(xdot, [0.0, 1.0])
-        assert ydot[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_bad_control(self):
-        with pytest.raises(InputError):
-            horizontal_rhs(GroupPoint.identity(2), [1.0, 2.0, 3.0])
 
 
 class TestIntegrateHorizontal:

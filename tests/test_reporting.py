@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from carnot_extremals import InputError
-from carnot_extremals.reporting import write_csv
+from carnot_extremals.reporting import dumps_report, write_csv
 
 
 def test_csv_bytes_are_the_17_digit_format(tmp_path):
@@ -45,3 +47,27 @@ def test_csv_blocks_give_the_bytes_of_row_by_row_rendering(tmp_path):
     expected = ",".join(header) + "\n" + "".join(
         ",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
     assert path.read_text() == expected
+
+
+def test_report_strings_escape_to_fixed_bytes():
+    report = {
+        'quote " and back \\ slash': "line\nfeed\rreturn\ttab",
+        "ctl\x01": ["\u03a9 \u2207H \u2264 1", "\u00e9\x1f"],
+        "nested": {"\u043a\u043b\u044e\u0447": 'x\\"y'},
+    }
+    assert dumps_report(report).encode() == (
+        b'{\n  "quote \\" and back \\\\ slash": "line\\nfeed\\rreturn\\ttab",\n'
+        b'  "ctl\\u0001": [\n'
+        b'    "\xce\xa9 \xe2\x88\x87H \xe2\x89\xa4 1",\n'
+        b'    "\xc3\xa9\\u001f"\n'
+        b'  ],\n'
+        b'  "nested": {\n'
+        b'    "\xd0\xba\xd0\xbb\xd1\x8e\xd1\x87": "x\\\\\\"y"\n'
+        b'  }\n'
+        b'}\n'
+    )
+    assert json.loads(dumps_report(report)) == report
+    # backspace and form feed take JSON's short escapes and read back as sent
+    odd = {"b\bf\f": ["\b", "\f"]}
+    assert dumps_report(odd) == '{\n  "b\\bf\\f": [\n    "\\b",\n    "\\f"\n  ]\n}\n'
+    assert json.loads(dumps_report(odd)) == odd
