@@ -11,6 +11,7 @@ first integrals of the extremal flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,10 +20,6 @@ import numpy as np
 from .errors import InputError, UnsupportedRankError
 
 KERNEL_REL_TOL = 1e-10
-# Below this scale the relative threshold is meaningless; fall back to an
-# absolute floor so exactly representable tiny kernels are still found.
-KERNEL_ABS_FLOOR = 1e-14
-KERNEL_SMALL_SCALE = 1e-4
 NEAR_SINGULAR_BAND = 1e-6
 
 
@@ -130,12 +127,6 @@ class SkewMatrix:
         rows, cols = AlgebraSpec(self.k).pair_rows_cols()
         return self.matrix[rows, cols].copy()
 
-    def sigma_max(self) -> float:
-        """Largest singular value; the natural frequency scale of the flow."""
-        if self.is_zero:
-            return 0.0
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 @dataclass(frozen=True, eq=False)
 class PoissonTable:
@@ -178,14 +169,13 @@ def bracket_table(spec: AlgebraSpec) -> PoissonTable:
 class CasimirBasis:
     """Orthonormal basis of ker M; each vector a defines I_a(h) = <a, h>.
 
-    ``near_singular`` flags matrices whose smallest non-kernel singular
-    value sits just above the cut, where the kernel dimension (and with it
-    the constant/periodic dichotomy) is numerically unstable.
+    ``sigma_max`` is the largest singular value of M (0 for M = 0), the
+    frequency scale of the flow.  ``near_singular`` flags a smallest non-kernel
+    singular value below NEAR_SINGULAR_BAND * sigma_max: an unstable kernel.
     """
 
     vectors: np.ndarray  # (n_casimirs, k), rows orthonormal
     sigma_max: float
-    threshold: float
     near_singular: bool
 
     def __len__(self) -> int:
@@ -206,27 +196,21 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def kernel_basis(skew: SkewMatrix, rel_tol: float = KERNEL_REL_TOL) -> CasimirBasis:
     """Orthonormal basis of the numerical kernel of M via SVD.
 
-    Singular vectors with sigma <= rel_tol * sigma_max belong to the kernel;
-    for sigma_max below 1e-4 an absolute floor of 1e-14 applies.  A zero
-    matrix yields the standard basis.  Skew matrices of odd size are always
-    singular, so the basis is never empty for odd k.
+    The SVD runs on M * 2**-e, 2**e the binade of the largest entry: an exact
+    scaling, denormals included, so the decision is scale-free.  Singular
+    vectors with sigma <= rel_tol * sigma_max belong to the kernel.  A zero
+    matrix yields the standard basis; for odd k the basis is never empty.
     """
-    k = skew.k
     if skew.is_zero:
-        vecs = np.eye(k)
-        vecs.setflags(write=False)
-        return CasimirBasis(vectors=vecs, sigma_max=0.0, threshold=0.0, near_singular=False)
-    _, s, vt = np.linalg.svd(skew.matrix)
-    smax = float(s[0])
-    threshold = rel_tol * smax
-    if smax < KERNEL_SMALL_SCALE:
-        threshold = max(threshold, KERNEL_ABS_FLOOR)
-    mask = s <= threshold
-    vecs = _fix_signs(vt[mask])
-    rest = s[~mask]
-    near = bool(rest.size and float(rest.min()) < NEAR_SINGULAR_BAND)
+        vecs, sigma_max, near = np.eye(skew.k), 0.0, False
+    else:
+        _, e = math.frexp(float(np.abs(skew.matrix).max()))
+        _, s, vt = np.linalg.svd(np.ldexp(skew.matrix, -e))
+        mask = s <= rel_tol * s[0]
+        vecs, sigma_max = _fix_signs(vt[mask]), math.ldexp(float(s[0]), e)
+        near = bool(not mask.all() and s[~mask][-1] < NEAR_SINGULAR_BAND * s[0])
     vecs.setflags(write=False)
-    return CasimirBasis(vectors=vecs, sigma_max=smax, threshold=threshold, near_singular=near)
+    return CasimirBasis(vectors=vecs, sigma_max=sigma_max, near_singular=near)
 
 
 def casimir_value(a, h) -> float:
@@ -244,7 +228,8 @@ class LeafClass:
 
     kind "two_dim": M != 0, the leaf is the level surface of the single
     Casimir direction inside the slice of fixed h_ij.  kind "zero_dim":
-    M = 0 and the leaf is the point h itself.
+    M = 0 and the leaf is the point h itself.  A nonzero 3 x 3 skew M has
+    sigma_1 = sigma_2 and sigma_3 = 0: one kernel line, never near singular.
     """
 
     kind: str  # "two_dim" | "zero_dim"
@@ -252,15 +237,6 @@ class LeafClass:
     casimir: np.ndarray | None = None
     casimir_level: float | None = None
     point: np.ndarray | None = None
-    near_singular: bool = False
-
-
-def _axis_direction(matrix: np.ndarray) -> np.ndarray:
-    # Exact kernel direction for nonzero M in so(3): the rotation axis.
-    # Pre-scale by the largest entry so denormal matrices do not underflow.
-    axis = np.array([-matrix[1, 2], matrix[0, 2], -matrix[0, 1]])
-    axis = axis / np.abs(axis).max()
-    return axis / np.linalg.norm(axis)
 
 
 def leaf_classify(skew: SkewMatrix, h, rel_tol: float = KERNEL_REL_TOL) -> LeafClass:
@@ -274,20 +250,10 @@ def leaf_classify(skew: SkewMatrix, h, rel_tol: float = KERNEL_REL_TOL) -> LeafC
         raise InputError("covector has non-finite entries")
     if skew.is_zero:
         return LeafClass(kind="zero_dim", skew_levels=skew.flat(), point=h.copy())
-    basis = kernel_basis(skew, rel_tol)
-    if len(basis) == 1:
-        a = basis.vectors[0]
-        near = basis.near_singular
-    else:
-        # Denormal-scale M where the SVD threshold misjudges the rank; the
-        # rank of a nonzero 3x3 skew matrix is always 2, with kernel along
-        # the rotation axis.
-        a = _fix_signs(_axis_direction(skew.matrix)[None, :])[0]
-        near = True
+    a = kernel_basis(skew, rel_tol).vectors[0]
     return LeafClass(
         kind="two_dim",
         skew_levels=skew.flat(),
         casimir=a,
         casimir_level=casimir_value(a, h),
-        near_singular=near,
     )

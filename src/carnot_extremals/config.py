@@ -151,7 +151,11 @@ def _parse_tolerances(doc) -> IntegrationOptions:
         overrides[name] = _as_number(value, f"tolerances.{name}")
         if overrides[name] <= 0.0:
             _fail(f"tolerances.{name}", "must be positive")
-    return IntegrationOptions(**overrides)
+    # SVD rounding leaves exact kernels at a few 1e-16 sigma_max; a cut of 1 takes all.
+    options = IntegrationOptions(**overrides)
+    if not 1e-15 <= options.kernel_rel_tol < 1.0:
+        _fail("tolerances.kernel_rel_tol", "must lie in [1e-15, 1)")
+    return options
 
 
 def parse_config(doc: dict) -> RunConfig:

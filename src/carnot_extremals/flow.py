@@ -395,10 +395,10 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     grad H(h0) is parallel to a (the extremum points of I_a on the level set
     H = 1 are the equilibria); the relative off-parallel residual is
     compared against opts.parallel_tol.  Nonconstant solutions are closed
-    curves and are classified by first-return detection.  Both tests run on
+    curves and are classified by first-return detection.  The axis a and
+    sigma_max come from one scale-free kernel_basis call, and the flow runs on
     M / sigma_max in time units of 1 / sigma_max, so the outcome does not
-    depend on the scale of M and the period scales as
-    T(lambda M) = T(M) / lambda.
+    depend on the scale of M and T(lambda M) = T(M) / lambda.
 
     Residuals inside (parallel_tol, parallel_warn_band] attach a warning:
     that close to the constant branch the return time becomes
@@ -414,12 +414,10 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     if skew.is_zero:
         return ExtremalClass(kind=CONSTANT, parallel_residual=0.0)
 
-    # With tau = sigma t the flow is dh/dtau = -(M / sigma) grad H(h).  An
-    # absolute kernel cut or an underflowing initial speed would otherwise
-    # misjudge a tiny M, and a huge one overflows the solver's first step.
-    sigma = skew.sigma_max()
-    unit = SkewMatrix(skew.matrix / sigma)
-    basis = kernel_basis(unit, opts.kernel_rel_tol)
+    # With tau = sigma t the flow is dh/dtau = -(M / sigma) grad H(h); in t a
+    # tiny M underflows the initial speed and a huge one overflows the first step.
+    basis = kernel_basis(skew, opts.kernel_rel_tol)
+    sigma = basis.sigma_max
     warnings: list[str] = []
     a = basis.vectors[0]
     grad = body.support_gradient(h0)
@@ -433,7 +431,7 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
         )
 
     t_max = opts.t_max if opts.t_max is not None else 100.0 * (2.0 * np.pi / sigma)
-    rhs = _make_rhs(body, unit.matrix)
+    rhs = _make_rhs(body, skew.matrix / sigma)
     try:
         found = detect_period(rhs, h0, t_max * sigma, opts)
     except HorizonExhaustedError:
@@ -471,10 +469,12 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
     if skew.k != 4:
         raise InputError(f"the quasi-periodicity witness is defined for k = 4, got k = {skew.k}")
     h0 = body.normalize_to_level(h0)
-    if not (0.0 <= delta < t_max):
-        raise InputError(f"need 0 <= delta < t_max, got delta={delta}, t_max={t_max}")
+    if not (0.0 <= delta < t_max < np.inf):
+        raise InputError(f"need 0 <= delta < t_max < inf, got delta={delta}, t_max={t_max}")
     if samples is None:
         samples = max(int(round((t_max - delta) / 0.01)) + 1, 1001)
+    if samples < 1:
+        raise InputError(f"need samples >= 1, got {samples}")
 
     rhs = _make_rhs(body, skew.matrix)
     sol = _solve(rhs, 0.0, t_max, h0, opts)

@@ -14,6 +14,8 @@ from carnot_extremals import (
 
 from oracles import random_skew, so3_kernel_direction
 
+SCALES = (1e-300, 1e-200, 1e-15, 1e-7, 1e200, 1e300)
+
 
 class TestAlgebraSpec:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -57,8 +59,8 @@ class TestSkewMatrix:
 
     def test_sigma_max_of_rotation_generator(self):
         m = SkewMatrix.from_entries(3, {(1, 2): 1.0})
-        assert m.sigma_max() == pytest.approx(1.0, abs=1e-14)
-        assert SkewMatrix.zero(4).sigma_max() == 0.0
+        assert kernel_basis(m).sigma_max == pytest.approx(1.0, abs=1e-14)
+        assert kernel_basis(SkewMatrix.zero(4)).sigma_max == 0.0
         assert SkewMatrix.zero(4).is_zero
 
 
@@ -149,13 +151,43 @@ class TestKernelBasis:
         clean = kernel_basis(SkewMatrix.from_entries(4, {(1, 2): 1.0, (3, 4): 1.0}))
         assert not clean.near_singular
 
+    def test_decision_does_not_depend_on_the_scale_of_m(self):
+        # M -> lambda M only rescales time, so the kernel and the flag of
+        # lambda * (e12 + r e34) are those of lambda = 1 at every scale.
+        expected = {1.0: (0, False), 1e-5: (0, False), 1e-8: (0, True), 1e-12: (2, False)}
+        for r, (dim, near) in expected.items():
+            for lam in (1.0, *SCALES):
+                basis = kernel_basis(SkewMatrix.from_entries(4, {(1, 2): lam, (3, 4): lam * r}))
+                assert (len(basis), basis.near_singular) == (dim, near), (r, lam)
+                assert basis.sigma_max == pytest.approx(lam, rel=1e-15)
+
+    def test_random_kernels_are_scale_free(self):
+        rng = np.random.default_rng(21)
+        for k in (2, 3, 4, 5, 6):
+            for _ in range(10):
+                m = random_skew(rng, k)
+                ref = kernel_basis(m)
+                for lam in SCALES:
+                    basis = kernel_basis(SkewMatrix(lam * m.matrix))
+                    assert (len(basis), basis.near_singular) == (len(ref), ref.near_singular)
+                # scaling by a power of two is exact, so the SVD input is too
+                for e in (-1000, -40, 1000):
+                    basis = kernel_basis(SkewMatrix(np.ldexp(m.matrix, e)))
+                    np.testing.assert_array_equal(basis.vectors, ref.vectors)
+                    assert basis.sigma_max == np.ldexp(ref.sigma_max, e)
+
     def test_k3_kernel_dimension_down_to_tiny_norms(self):
         rng = np.random.default_rng(20)
-        for scale in (1.0, 1e-4, 1e-8):
+        for scale in (1.0, 1e-4, 1e-8, 1e-15, 1e-200, 1e-300):
             flat = rng.standard_normal(3)
             m = SkewMatrix.from_flat(3, scale * flat / np.linalg.norm(flat))
             assert len(kernel_basis(m)) == 1
         assert len(kernel_basis(SkewMatrix.zero(3))) == 3
+        denormal = kernel_basis(SkewMatrix.from_entries(3, {(1, 2): 5e-324, (1, 3): 3e-323}))
+        assert len(denormal) == 1
+        # the axis of m12 e12 + m13 e13 is (0, m13, -m12), here m13 = 6 m12
+        np.testing.assert_allclose(denormal.vectors[0], np.array([0.0, 6.0, -1.0]) / np.sqrt(37.0),
+                                   atol=1e-15)
 
 
 class TestCasimirValue:
@@ -231,4 +263,3 @@ class TestLeafClassify:
         leaf = leaf_classify(m, [1.0, 0.0, 0.0])
         assert leaf.kind == "two_dim"
         np.testing.assert_allclose(leaf.casimir, [0.0, 0.0, 1.0], atol=1e-15)
-        assert leaf.near_singular

@@ -47,6 +47,8 @@ class TestConfigParsing:
         (lambda d: d.update(samples=0), "samples"),
         (lambda d: d.update(tolerances={"rtol": -1.0}), "rtol"),
         (lambda d: d.update(tolerances={"unknown_tol": 1.0}), "tolerances"),
+        (lambda d: d.update(tolerances={"kernel_rel_tol": 1e-20}), "kernel_rel_tol"),
+        (lambda d: d.update(tolerances={"kernel_rel_tol": 1.0}), "kernel_rel_tol"),
         (lambda d: d.update(body={"type": "lp_ball", "p": 1.0}), "body"),
         (lambda d: d.update(body={"type": "cube"}), "body"),
         (lambda d: d.pop("h0"), "h0"),
@@ -128,13 +130,16 @@ class TestAnalyze:
         assert report["point"] == [1.0, 2.0, 3.0]
 
     def test_single_generator_leaf(self, tmp_path):
-        code, out = run(tmp_path, "analyze", BALL3_CFG)
-        assert code == 0
-        report = json.loads((out / "analyze.json").read_text())
-        assert report["leaf"] == "two_dim"
-        assert report["casimir"] == [0.0, 0.0, 1.0]
-        assert report["kernel_dim"] == 1
-        assert report["dim_l"] == 6
+        # the kernel report agrees with the leaf at every scale of M
+        for scale in (1.0, 1e-15, 1e-200):
+            code, out = run(tmp_path, "analyze", dict(BALL3_CFG, M={"1,2": scale}))
+            assert code == 0
+            report = json.loads((out / "analyze.json").read_text())
+            assert report["leaf"] == "two_dim"
+            assert report["casimir"] == [0.0, 0.0, 1.0]
+            assert report["kernel_dim"] == 1
+            assert report["dim_l"] == 6
+            assert report["warnings"] == []
 
     def test_two_frequency_k4(self, tmp_path):
         doc = {
@@ -149,6 +154,12 @@ class TestAnalyze:
         report = json.loads((out / "analyze.json").read_text())
         assert report["kernel_dim"] == 0
         assert report["leaf"] == "unclassified"
+        # equal blocks are far from singular, however small they are
+        code, out = run(tmp_path, "analyze", dict(doc, M={"1,2": 1e-7, "3,4": 1e-7}))
+        assert code == 0
+        report = json.loads((out / "analyze.json").read_text())
+        assert report["kernel_dim"] == 0
+        assert report["warnings"] == []
 
 
 class TestIntegrateCommand:
@@ -186,6 +197,30 @@ class TestIntegrateCommand:
         assert header[-1] == "I1_drift"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_casimir_drift"][0] <= 1e-8
+
+    def test_scaled_matrix_only_rescales_time(self, tmp_path):
+        # M -> lambda M with t1 -> t1 / lambda samples the same orbit at the
+        # same nodes, and only the one Casimir of rank-2 M is monitored.
+        def h_columns(scale):
+            doc = {
+                "k": 3,
+                "body": {"type": "lp_ball", "p": 3.0},
+                "M": {"1,2": scale, "2,3": 0.5 * scale},
+                "h0": [1.0, 0.2, -0.4],
+                "t1": 10.0 / scale,
+                "samples": 200,
+            }
+            code, out = run(tmp_path, "integrate", doc)
+            assert code == 0, scale
+            lines = (out / "trajectory.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            assert [name for name in header if name.endswith("_drift")] == ["H_drift", "I1_drift"]
+            table = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
+            return table[:, 1:4]
+
+        reference = h_columns(1.0)
+        for scale in (1e-15, 1e-8, 1e15):
+            np.testing.assert_allclose(h_columns(scale), reference, rtol=0, atol=1e-9)
 
 
 class TestClassifyCommand:

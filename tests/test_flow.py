@@ -485,3 +485,10 @@ class TestQuasiPeriodicity:
     def test_rejects_wrong_rank(self):
         with pytest.raises(InputError):
             quasi_periodicity_check(np.ones(3), ROT12, BALL3, t_max=1.0, delta=0.0)
+
+    def test_rejects_unbounded_window_and_empty_grid(self):
+        h0 = np.ones(4)
+        for t_max, samples in ((np.inf, None), (np.nan, None), (1.0, 0)):
+            with pytest.raises(InputError):
+                quasi_periodicity_check(h0, self.BLOCKS, self.BALL4, t_max=t_max, delta=0.0,
+                                        samples=samples)
