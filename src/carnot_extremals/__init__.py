@@ -36,6 +36,7 @@ from .flow import (
     QuasiPeriodResult,
     Trajectory,
     classify_k3,
+    classify_sweep,
     detect_period,
     integrate_vertical,
     quasi_periodicity_check,
@@ -73,6 +74,7 @@ __all__ = [
     "bracket_table",
     "casimir_value",
     "classify_k3",
+    "classify_sweep",
     "detect_period",
     "integrate_horizontal",
     "integrate_vertical",

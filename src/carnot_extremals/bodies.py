@@ -76,13 +76,17 @@ class ControlBody(abc.ABC):
 
     # Row kernels: the same maps on an (N, k) array of nonzero covectors,
     # returning (N,) support values and (N, k) gradients.  The scalar forms
-    # serve one point at a time; these serve whole sampled trajectories.
+    # serve one point at a time; these serve whole sampled trajectories and
+    # the lanes of a batched sweep (``_level_gradient_batch``).
 
     @abc.abstractmethod
     def _support_batch(self, hs: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
     def _gradient_batch(self, hs: np.ndarray) -> np.ndarray: ...
+
+    def _level_gradient_batch(self, hs: np.ndarray) -> np.ndarray:
+        return self._gradient_batch(hs)
 
     def validate(self) -> ValidationReport:
         return ValidationReport(tuple(self.violations()))
@@ -224,6 +228,9 @@ class Ellipsoid(ControlBody):
         _, aw, d, _ = _quadratic_rows(self.shape_matrix, hs)
         return aw / np.sqrt(d)[:, None]
 
+    def _level_gradient_batch(self, hs):
+        return hs @ self.shape_matrix  # rows of A h, as A is symmetric
+
 
 @dataclass(frozen=True, eq=False)
 class LpBall(ControlBody):
@@ -299,6 +306,10 @@ class LpBall(ControlBody):
         w = a / a.max(axis=1, keepdims=True)
         s = (w**q).sum(axis=1, keepdims=True)
         return self.radius * np.sign(hs) * w ** (q - 1.0) / s ** ((q - 1.0) / q)
+
+    def _level_gradient_batch(self, hs):
+        r = self.radius
+        return np.where(hs >= 0.0, r, -r) * np.minimum(r * np.abs(hs), 2.0) ** (self.q - 1.0)
 
 
 @dataclass(frozen=True, eq=False)

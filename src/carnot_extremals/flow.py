@@ -15,12 +15,13 @@ reduces to a parallelism test plus return detection.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from .algebra import CasimirBasis, SkewMatrix, kernel_basis
@@ -40,6 +41,7 @@ PERIODIC = "periodic"
 UNCLASSIFIED = "unclassified"
 
 _BISECT_MAX_ITER = 200
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ class IntegrationOptions:
     default tolerances keep invariant drift orders of magnitude under the
     1e-8 monitoring bars on horizons of a few hundred time units, including
     near equilibria and across the mild gradient kinks of lp bodies.
+    Every value is checked on construction; a bad one raises InputError.
     """
 
     rtol: float = 1e-13
@@ -63,6 +66,29 @@ class IntegrationOptions:
     return_residual_tol: float = 1e-8
     g_tol: float = 1e-12
     t_max: float | None = None
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "t_max" and value is None:
+                continue
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                raise InputError(f"{field.name} must be a number, got {value!r}") from None
+            if field.name == "g_tol":
+                ok, bound = number >= 0.0, ">= 0"
+            else:
+                ok, bound = number > 0.0, "> 0"
+            if not (ok and np.isfinite(number)):
+                raise InputError(f"{field.name} must be finite and {bound}, got {value!r}")
+        # SVD rounding leaves exact kernels at a few 1e-16 sigma_max; a cut of 1 takes all.
+        if not 1e-15 <= self.kernel_rel_tol < 1.0:
+            raise InputError(f"kernel_rel_tol must lie in [1e-15, 1), got {self.kernel_rel_tol!r}")
+        # SciPy's DOP853 raises a smaller rtol to this floor; rejecting it keeps
+        # the single and the batched first-return searches on one problem.
+        if self.rtol < 100.0 * _EPS:
+            raise InputError(f"rtol must be >= 100 eps = {100.0 * _EPS:.3g}, got {self.rtol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,6 +412,251 @@ def _bisect_crossing(g, a, b, g_tol) -> float:
     return mid
 
 
+# SciPy's explicit Runge-Kutta step controller (scipy.integrate.RK45 and
+# DOP853 share it); the DOP853 tableau itself is read from the public class.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_STAGES = DOP853.n_stages
+_STAGE_ROWS = [DOP853.A[s, :s] for s in range(1, _STAGES)]
+_EXTRA_ROWS = [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+class _Lanes:
+    """DOP853 on many initial states at once, each lane with its own step.
+
+    Every lane runs SciPy's DOP853 forward from t = 0 towards ``t_bound``,
+    with SciPy's initial-step rule, error norm and step controller applied
+    to it alone: its own t, step size and rejection flag.  So a lane takes
+    the steps ``solve_ivp(method="DOP853")`` would take from its start, up
+    to rounding.  ``fun`` maps an (N, k) array of states to their
+    derivatives; the field is autonomous, so stage times are not needed.
+    ``step`` tries one step on every lane; ``interpolant`` builds the dense
+    output of the last step on some lanes; ``keep`` drops the other lanes.
+    """
+
+    def __init__(self, fun, y0: np.ndarray, t_bound: float, opts: IntegrationOptions):
+        self.fun, self.t_bound = fun, t_bound
+        self.rtol, self.atol = opts.rtol, opts.atol
+        self.rhs_rows = 0    # states passed to fun
+        self.accepted = 0    # accepted lane steps
+        self.rejected = 0    # rejected lane steps
+        self.y = np.array(y0, dtype=float)
+        self.t = np.zeros(len(self.y))
+        self.f = self.rhs(self.y)
+        self.h_abs = self._initial_step()
+        self.retry = np.zeros(len(self.y), dtype=bool)
+        self._last = None
+
+    def rhs(self, ys):
+        """``fun`` on the rows ys, counted in ``rhs_rows``."""
+        self.rhs_rows += len(ys)
+        return self.fun(ys)
+
+    @staticmethod
+    def _rms(x):
+        return np.sqrt(np.einsum("ij,ij->i", x, x) / x.shape[1])
+
+    def _initial_step(self):
+        # SciPy's select_initial_step, lane by lane (order 7 error estimate).
+        scale = self.atol + np.abs(self.y) * self.rtol
+        d0, d1 = self._rms(self.y / scale), self._rms(self.f / scale)
+        small = (d0 < 1e-5) | (d1 < 1e-5)
+        h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+        h0 = np.minimum(h0, self.t_bound)
+        f1 = self.rhs(self.y + h0[:, None] * self.f)
+        d2 = self._rms((f1 - self.f) / scale) / h0
+        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.where(flat, 1.0, np.maximum(d1, d2))) ** -_ERROR_EXPONENT)
+        return np.minimum(np.minimum(100.0 * h0, h1), self.t_bound)
+
+    def step(self) -> np.ndarray:
+        """Try one step on every lane; returns the mask of accepted lanes.
+
+        Accepted lanes move to the step's end; rejected ones keep t and
+        retry next time with the smaller step SciPy would retry with.
+        """
+        t, y, f = self.t, self.y, self.f
+        n, k = y.shape
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h_abs = np.where(self.retry, self.h_abs, np.maximum(self.h_abs, min_step))
+        if (h_abs < min_step).any():
+            lane = int(np.argmax(h_abs < min_step))
+            raise IntegrationError(f"solver failed near t = {t[lane]:.6g}: Required step "
+                                   f"size is less than spacing between numbers.")
+        t_new = np.minimum(t + h_abs, self.t_bound)
+        h = t_new - t
+        hc = h[:, None]
+        stages = np.empty((_STAGES + 4, n * k))
+        stages[0] = f.ravel()
+        for s, a in enumerate(_STAGE_ROWS, start=1):
+            stages[s] = self.rhs(y + hc * (a @ stages[:s]).reshape(n, k)).ravel()
+        y_new = y + hc * (DOP853.B @ stages[:_STAGES]).reshape(n, k)
+        f_new = self.rhs(y_new)
+        stages[_STAGES] = f_new.ravel()
+
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        err5 = (DOP853.E5 @ stages[:_STAGES + 1]).reshape(n, k) / scale
+        err3 = (DOP853.E3 @ stages[:_STAGES + 1]).reshape(n, k) / scale
+        e5 = np.einsum("ij,ij->i", err5, err5)
+        denom = e5 + 0.01 * np.einsum("ij,ij->i", err3, err3)
+        error_norm = h * e5 / np.sqrt(np.where(denom > 0.0, denom, 1.0) * k)
+        ok = error_norm < 1.0
+        positive = error_norm > 0.0
+        factor = _SAFETY * np.where(positive, error_norm, 1.0) ** _ERROR_EXPONENT
+        factor = np.where(ok, np.where(positive, np.minimum(_MAX_FACTOR, factor), _MAX_FACTOR),
+                          np.fmax(_MIN_FACTOR, factor))
+        factor = np.where(ok & self.retry, np.minimum(1.0, factor), factor)
+
+        self.h_abs = h * factor
+        self.retry = ~ok
+        accepted = int(ok.sum())
+        self.accepted += accepted
+        self.rejected += n - accepted
+        self._last = (t, h, y, y_new, f, f_new, stages)
+        self.t = np.where(ok, t_new, t)
+        self.y = np.where(ok[:, None], y_new, y)
+        self.f = np.where(ok[:, None], f_new, f)
+        return ok
+
+    def interpolant(self, lanes: np.ndarray):
+        """(t_old, h, y_old, rows) of the last step on the given accepted lanes.
+
+        This computes DOP853's 3 extra stages for those lanes only; rows are
+        the 7 polynomial rows per lane, shaped (7, len(lanes), k).
+        """
+        t, h, y, y_new, f, f_new, stages = self._last
+        k = y.shape[1]
+        m = len(lanes)
+        stages = stages.reshape(len(stages), -1, k)[:, lanes].reshape(len(stages), m * k)
+        hc, y_old, f_old = h[lanes, None], y[lanes], f[lanes]
+        for s, a in enumerate(_EXTRA_ROWS, start=_STAGES + 1):
+            stages[s] = self.rhs(y_old + hc * (a @ stages[:s]).reshape(m, k)).ravel()
+        delta = y_new[lanes] - y_old
+        rows = np.empty((7, m, k))
+        rows[0] = delta
+        rows[1] = hc * f_old - delta
+        rows[2] = 2.0 * delta - hc * (f_new[lanes] + f_old)
+        rows[3:] = hc * (DOP853.D @ stages).reshape(len(DOP853.D), m, k)
+        return t[lanes], h[lanes], y_old, rows
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every lane outside ``mask``."""
+        self.t, self.y, self.f = self.t[mask], self.y[mask], self.f[mask]
+        self.h_abs, self.retry = self.h_abs[mask], self.retry[mask]
+        self._last = None
+
+
+def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
+                   opts: IntegrationOptions) -> list[PeriodResult | None]:
+    """``detect_period`` for dh/dt = -matrix grad(H^s / s) from every start at once.
+
+    All starts move forward together as the lanes of one DOP853 integration
+    (see _Lanes), and a lane leaves it once it finishes.  Each lane tracks
+    g(t) = <h(t) - h0, v> with v its unit initial velocity, tested by sign
+    at the end of every accepted step: first for the fall through zero on
+    the far side of the orbit, then for the rise back through zero.  The
+    lane does not restart at the fall, so its steps differ from
+    ``detect_period``'s.  Only a step that brackets a rise computes the
+    extra dense-output stages; the root of g on that step's interpolant is
+    the candidate, accepted as in ``detect_period`` (within
+    opts.capture_radius of h0, velocity aligned with the initial one) or
+    else followed by a new fall and rise.  A lane that reaches t_max
+    without a return gives None.  One debug log line, a JSON object, gives
+    the work counters.
+    """
+    neg_t = -matrix.T
+    grad = body._level_gradient_batch
+
+    def fun(hs):
+        return grad(hs) @ neg_t
+
+    h0 = np.array(starts, dtype=float)
+    lanes = _Lanes(fun, h0, t_max, opts)
+    speed = np.linalg.norm(lanes.f, axis=1)
+    if not speed.all():
+        raise InputError("initial velocity vanishes; the trajectory is constant")
+    hdot0 = lanes.f
+    vhat = hdot0 / speed[:, None]
+    found: list[PeriodResult | None] = [None] * len(h0)
+    ids = np.arange(len(h0))
+    g = np.zeros(len(h0))
+    falling = np.ones(len(h0), dtype=bool)
+    candidates = 0
+    while ids.size:
+        ok = lanes.step()
+        g_new = np.where(ok, np.einsum("ij,ij->i", lanes.y - h0, vhat), g)
+        rose = ok & ~falling & (g <= 0.0) & (g_new >= 0.0)
+        falling = np.where(falling, ~(ok & (g >= 0.0) & (g_new <= 0.0)), rose)
+        g = g_new
+        done = lanes.t >= t_max
+        if rose.any():
+            lane = np.flatnonzero(rose)
+            candidates += lane.size
+            t_old, h, y_old, rows = lanes.interpolant(lane)
+            for j, t_a, step, y_a, poly in zip(lane, t_old, h, y_old, rows.transpose(1, 0, 2)):
+                t_star, h_star = _interpolant_root(poly, t_a, step, y_a, h0[j], vhat[j])
+                residual = float(np.linalg.norm(h_star - h0[j]))
+                if (residual <= opts.capture_radius
+                        and float(lanes.rhs(h_star[None])[0] @ hdot0[j]) > 0.0):
+                    found[ids[j]] = PeriodResult(period=t_star, residual=residual)
+                    done[j] = True
+        if done.any():
+            stay = ~done
+            lanes.keep(stay)
+            ids, h0, hdot0, vhat, g, falling = (a[stay] for a in (ids, h0, hdot0, vhat, g, falling))
+    logger.debug(json.dumps({"event": "batched_first_return", "lanes": len(found),
+                             "accepted_steps": lanes.accepted,
+                             "rejected_steps": lanes.rejected, "rhs_rows": lanes.rhs_rows,
+                             "candidates": candidates,
+                             "returns": sum(r is not None for r in found)}))
+    return found
+
+
+def _interpolant_root(rows, t_old, h, y_old, h0, vhat) -> tuple[float, np.ndarray]:
+    """Root of g(t) = <h(t) - h0, vhat> on one step's interpolant, and h there.
+
+    ``rows`` are the step's 7 polynomial rows, evaluated in the nested form
+    of SciPy's ``Dop853DenseOutput`` (as in _dense_values).  g rises through
+    zero on the step.  The root is located to a few ulp, as SciPy locates
+    event roots; should rounding of the interpolant leave no sign change,
+    the end with the smaller |g| is taken.
+    """
+    def state(t):
+        x = (t - t_old) / h
+        y = np.zeros_like(y_old)
+        for i, row in enumerate(rows[::-1]):
+            y += row
+            y *= x if i % 2 == 0 else 1 - x
+        return y + y_old
+
+    def g(t):
+        return float(vhat @ (state(t) - h0))
+
+    a, b = t_old, t_old + h
+    ga, gb = g(a), g(b)
+    if ga < 0.0 < gb:
+        t_star = brentq(g, a, b, xtol=4.0 * _EPS, rtol=4.0 * _EPS)
+    else:
+        t_star = a if abs(ga) < abs(gb) else b
+    return float(t_star), state(t_star)
+
+
+def _detect_each(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
+                 opts: IntegrationOptions) -> list[PeriodResult | None]:
+    """``detect_period`` on SciPy's solve_ivp, one start after another."""
+    rhs = _make_rhs(body, matrix)
+    found = []
+    for h0 in starts:
+        try:
+            found.append(detect_period(rhs, h0, t_max, opts))
+        except HorizonExhaustedError:
+            found.append(None)
+    return found
+
+
 def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
                 opts: IntegrationOptions | None = None) -> ExtremalClass:
     """Constant/periodic dichotomy of the vertical extremal for k = 3.
@@ -395,61 +666,95 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     grad H(h0) is parallel to a (the extremum points of I_a on the level set
     H = 1 are the equilibria); the relative off-parallel residual is
     compared against opts.parallel_tol.  Nonconstant solutions are closed
-    curves and are classified by first-return detection.  The axis a and
-    sigma_max come from one scale-free kernel_basis call, and the flow runs on
-    M / sigma_max in time units of 1 / sigma_max, so the outcome does not
-    depend on the scale of M and T(lambda M) = T(M) / lambda.
+    curves and are classified by first-return detection (``detect_period``).
+    The axis a and sigma_max come from one scale-free kernel_basis call, and
+    the flow runs on M / sigma_max in time units of 1 / sigma_max, so the
+    outcome does not depend on the scale of M and T(lambda M) = T(M) / lambda.
 
     Residuals inside (parallel_tol, parallel_warn_band] attach a warning:
     that close to the constant branch the return time becomes
     ill-conditioned.
     """
-    opts = opts or IntegrationOptions()
+    return _classify([h0], skew, body, opts or IntegrationOptions(), _detect_each)[0]
+
+
+def classify_sweep(h0s, skew: SkewMatrix, body: ControlBody,
+                   opts: IntegrationOptions | None = None) -> list[ExtremalClass]:
+    """``classify_k3`` for every covector of h0s, with one batched search.
+
+    The checks, the parallel test, the warnings and the unclassified reasons
+    are those of ``classify_k3``; the nonconstant covectors then move
+    together through one lane-batched DOP853 first-return search
+    (``_first_returns``), which pays the Python cost of a step once for all
+    of them.  That search steps differently from ``detect_period``, so
+    periods agree with ``classify_k3``'s to about 1e-10 relative, not bit
+    for bit.
+    """
+    return _classify(h0s, skew, body, opts or IntegrationOptions(), _first_returns)
+
+
+def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions,
+              search) -> list[ExtremalClass]:
+    """The classification of every covector of h0s, with the given return search.
+
+    ``search(body, matrix, starts, t_max, opts)`` returns one PeriodResult,
+    or None where no return came by t_max, for each start, on the flow of
+    ``matrix`` = M / sigma_max.
+    """
     if skew.k != 3:
         raise UnsupportedRankError(f"classification is only supported for k = 3, got k = {skew.k}")
-    h0 = body.normalize_to_level(h0)
-    if h0.size != 3:
-        raise InputError(f"h0 must have length 3, got {h0.size}")
+    starts = [body.normalize_to_level(h0) for h0 in h0s]
+    for h0 in starts:
+        if h0.size != 3:
+            raise InputError(f"h0 must have length 3, got {h0.size}")
 
     if skew.is_zero:
-        return ExtremalClass(kind=CONSTANT, parallel_residual=0.0)
+        return [ExtremalClass(kind=CONSTANT, parallel_residual=0.0) for _ in starts]
 
     # With tau = sigma t the flow is dh/dtau = -(M / sigma) grad H(h); in t a
     # tiny M underflows the initial speed and a huge one overflows the first step.
     basis = kernel_basis(skew, opts.kernel_rel_tol)
     sigma = basis.sigma_max
-    warnings: list[str] = []
     a = basis.vectors[0]
-    grad = body.support_gradient(h0)
-    residual = float(np.linalg.norm(grad - (grad @ a) * a) / np.linalg.norm(grad))
-    if residual <= opts.parallel_tol:
-        return ExtremalClass(kind=CONSTANT, parallel_residual=residual, warnings=tuple(warnings))
-    if residual <= opts.parallel_warn_band:
-        warnings.append(
-            f"initial control is nearly aligned with the Casimir direction "
-            f"(residual {residual:.3e}); the period is ill-conditioned here"
-        )
+    out: list[ExtremalClass | None] = []
+    moving = []
+    for h0 in starts:
+        grad = body.support_gradient(h0)
+        residual = float(np.linalg.norm(grad - (grad @ a) * a) / np.linalg.norm(grad))
+        if residual <= opts.parallel_tol:
+            out.append(ExtremalClass(kind=CONSTANT, parallel_residual=residual))
+            continue
+        warnings = ()
+        if residual <= opts.parallel_warn_band:
+            warnings = (f"initial control is nearly aligned with the Casimir direction "
+                        f"(residual {residual:.3e}); the period is ill-conditioned here",)
+        moving.append((len(out), h0, residual, warnings))
+        out.append(None)
+    if not moving:
+        return out
 
     t_max = opts.t_max if opts.t_max is not None else 100.0 * (2.0 * np.pi / sigma)
-    rhs = _make_rhs(body, skew.matrix / sigma)
-    try:
-        found = detect_period(rhs, h0, t_max * sigma, opts)
-    except HorizonExhaustedError:
-        return ExtremalClass(
-            kind=UNCLASSIFIED, parallel_residual=residual,
-            reason=f"no return within t_max = {t_max:.6g}; likely a tolerance problem",
-            warnings=tuple(warnings),
-        )
-    period = found.period / sigma
-    if found.residual > opts.return_residual_tol:
-        return ExtremalClass(
-            kind=UNCLASSIFIED, parallel_residual=residual,
-            reason=(f"return residual {found.residual:.3e} exceeds "
-                    f"{opts.return_residual_tol:.1e} at T = {period:.9g}"),
-            warnings=tuple(warnings),
-        )
-    return ExtremalClass(kind=PERIODIC, period=period, return_residual=found.residual,
-                         parallel_residual=residual, warnings=tuple(warnings))
+    found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving], t_max * sigma, opts)
+    for (i, _, residual, warnings), result in zip(moving, found):
+        if result is None:
+            out[i] = ExtremalClass(
+                kind=UNCLASSIFIED, parallel_residual=residual,
+                reason=f"no return within t_max = {t_max:.6g}; likely a tolerance problem",
+                warnings=warnings,
+            )
+            continue
+        period = result.period / sigma
+        if result.residual > opts.return_residual_tol:
+            out[i] = ExtremalClass(
+                kind=UNCLASSIFIED, parallel_residual=residual,
+                reason=(f"return residual {result.residual:.3e} exceeds "
+                        f"{opts.return_residual_tol:.1e} at T = {period:.9g}"),
+                warnings=warnings,
+            )
+            continue
+        out[i] = ExtremalClass(kind=PERIODIC, period=period, return_residual=result.residual,
+                               parallel_residual=residual, warnings=warnings)
+    return out
 
 
 def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: float,

@@ -243,6 +243,15 @@ def _rows(rng, k, n, scale):
     return hs
 
 
+def _level_scale(body, h):
+    """Size of the terms summed into the level-set gradient at h."""
+    if isinstance(body, Ellipsoid):
+        return float((np.abs(body.shape_matrix) @ np.abs(h)).max())
+    if isinstance(body, LpBall):
+        return float(np.abs(body._level_gradient(h)).max())
+    return _term_scale(body, h)[1]
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_batch_kernels_match_scalar_forms(k, scale):
@@ -252,16 +261,21 @@ def test_batch_kernels_match_scalar_forms(k, scale):
         with np.errstate(over="ignore"):  # an overflowing form is redone rescaled
             support = body._support_batch(hs)
             grad = body._gradient_batch(hs)
+            level = body._level_gradient_batch(hs)
             assert support.shape == (hs.shape[0],) and grad.shape == hs.shape
-            for h, s_row, g_row in zip(hs, support, grad):
-                s, g = body._support(h), body._gradient(h)
+            assert level.shape == hs.shape
+            for h, s_row, g_row, l_row in zip(hs, support, grad, level):
+                s, g, lg = body._support(h), body._gradient(h), body._level_gradient(h)
                 s_scale, g_scale = _term_scale(body, h)
                 assert abs(s_row - s) <= 4 * ULP * s_scale, body
                 assert np.abs(g_row - g).max() <= 4 * ULP * g_scale, body
+                assert np.abs(l_row - lg).max() <= 4 * ULP * _level_scale(body, h), body
                 # zero components of h give +0.0 in an lp gradient
                 if isinstance(body, LpBall):
                     assert not np.signbit(g[h == 0.0]).any()
                     assert not np.signbit(g_row[h == 0.0]).any()
+                    assert not np.signbit(lg[h == 0.0]).any()
+                    assert not np.signbit(l_row[h == 0.0]).any()
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
@@ -299,6 +313,7 @@ def test_batch_kernels_take_empty_input():
     for body in _batch_bodies(np.random.default_rng(46), 3):
         assert body._support_batch(np.empty((0, 3))).shape == (0,)
         assert body._gradient_batch(np.empty((0, 3))).shape == (0, 3)
+        assert body._level_gradient_batch(np.empty((0, 3))).shape == (0, 3)
 
 
 # --- the level-set field grad(H^s / s) that drives the vertical flow

@@ -1,7 +1,11 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from carnot_extremals import flow
 from carnot_extremals import (
@@ -15,6 +19,7 @@ from carnot_extremals import (
     SkewMatrix,
     UnsupportedRankError,
     classify_k3,
+    classify_sweep,
     detect_period,
     integrate_vertical,
     quasi_periodicity_check,
@@ -406,6 +411,163 @@ class TestClassifyK3:
             period, residual, closest = first_return(body, skew.matrix, h0, outcome.period)
             assert residual <= 1e-8 and closest > 1e-3
             assert abs(outcome.period - period) <= 1e-9 * period
+
+
+def ellipsoid_period(matrix, a):
+    """2 pi / omega, with +-i omega the nonzero eigenvalues of M A."""
+    return 2.0 * np.pi / np.abs(np.linalg.eigvals(matrix @ a).imag).max()
+
+
+class TestClassifySweep:
+    def test_ellipsoid_periods_match_linear_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            a = random_spd(rng, 3)
+            m = random_skew(rng, 3)
+            outcomes = classify_sweep([random_covector(rng, 3) for _ in range(8)], m, Ellipsoid(a))
+            expected = ellipsoid_period(m.matrix, a)
+            for outcome in outcomes:
+                assert outcome.kind == "periodic"
+                assert abs(outcome.period - expected) <= 1e-12 * expected
+                assert outcome.return_residual <= 1e-8
+
+    @pytest.mark.parametrize("p", [1.01, 1.3, 4.0, 50.0])
+    def test_lp_periods_match_first_return_oracle(self, p):
+        rng = np.random.default_rng(int(200 * p))
+        body = LpBall(p=p, radius=rng.uniform(0.5, 2.0))
+        skew = random_skew(rng, 3)
+        h0s = [body.normalize_to_level(random_covector(rng, 3)) for _ in range(4)]
+        for h0, outcome in zip(h0s, classify_sweep(h0s, skew, body)):
+            assert outcome.kind == "periodic"
+            period, residual, closest = first_return(body, skew.matrix, h0, outcome.period)
+            assert residual <= 1e-8 and closest > 1e-3
+            assert abs(outcome.period - period) <= 1e-9 * period
+
+    def test_translated_ellipsoid_periods_match_first_return_oracle(self):
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            body = random_body(rng, 3, "translated_ellipsoid")
+            skew = random_skew(rng, 3)
+            h0s = [body.normalize_to_level(random_covector(rng, 3)) for _ in range(4)]
+            for h0, outcome in zip(h0s, classify_sweep(h0s, skew, body)):
+                assert outcome.kind == "periodic"
+                period, residual, closest = first_return(body, skew.matrix, h0, outcome.period)
+                assert residual <= 1e-8 and closest > 1e-3
+                assert abs(outcome.period - period) <= 1e-9 * period
+
+    def test_constant_warned_and_small_orbit_starts_in_one_sweep(self):
+        rng = np.random.default_rng(34)
+        a = random_spd(rng, 3)
+        body = Ellipsoid(a)
+        m = random_skew(rng, 3)
+        h_eq = aligned_covector(body, so3_kernel_direction(m.matrix))
+        v = rng.standard_normal(3)
+        v -= (v @ h_eq) / (h_eq @ h_eq) * h_eq
+        v /= np.linalg.norm(v)
+        h0s = [h_eq, h_eq + 1e-7 * v, h_eq + 1e-5 * v, random_covector(rng, 3)]
+        outcomes = classify_sweep(h0s, m, body)
+        assert [o.kind for o in outcomes] == ["constant", "periodic", "periodic", "periodic"]
+        assert [bool(o.warnings) for o in outcomes] == [False, True, False, False]
+        expected = ellipsoid_period(m.matrix, a)
+        for outcome, bar in zip(outcomes[1:], (1e-6, 1e-8, 1e-12)):
+            assert abs(outcome.period - expected) <= bar * expected
+        for h0, outcome in zip(h0s, outcomes):
+            single = classify_k3(h0, m, body)
+            assert outcome.parallel_residual == single.parallel_residual
+            assert outcome.warnings == single.warnings
+
+    def test_short_horizon_leaves_one_lane_unclassified(self):
+        body = LpBall(p=4.0)
+        m = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.5, (2, 3): 0.3})
+        h0s = [[0.9, -0.1, 0.3], [0.2, 0.9, -0.4], [0.5, 0.5, 0.7], [-0.3, 0.1, 0.95]]
+        periods = sorted(classify_k3(h0, m, body).period for h0 in h0s)
+        assert periods[-1] - periods[-2] > 1e-2 * periods[-1]
+        opts = IntegrationOptions(t_max=0.5 * (periods[-2] + periods[-1]))
+        outcomes = classify_sweep(h0s, m, body, opts)
+        slow = [o for o in outcomes if o.kind == "unclassified"]
+        assert len(slow) == 1 and [o.kind for o in outcomes].count("periodic") == 3
+        single = classify_k3(h0s[outcomes.index(slow[0])], m, body, opts)
+        assert single.kind == "unclassified" and slow[0].reason == single.reason
+
+    def test_periods_scale_as_one_over_the_scale_of_m(self):
+        body = LpBall(p=1.5, radius=0.8)
+        m = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.5, (2, 3): 0.3})
+        h0s = [[0.9, -0.1, 0.3], [0.2, 0.9, -0.4], [0.5, 0.5, 0.7]]
+        base = [o.period for o in classify_sweep(h0s, m, body)]
+        for lam in (1e-300, 1e-15, 1e20, 1e300):
+            scaled = classify_sweep(h0s, SkewMatrix(lam * m.matrix), body)
+            for outcome, period in zip(scaled, base):
+                assert outcome.kind == "periodic"
+                assert abs(outcome.period * lam - period) <= 1e-10 * period
+
+    @pytest.mark.parametrize("factor,returns", [(0.99, False), (1.01, True)])
+    def test_horizon_around_the_return(self, factor, returns):
+        # the far side is at t = pi, so 0.99 of a period cuts the return
+        found, = flow._first_returns(BALL3, ROT12.matrix, [[1.0, 0.0, 0.0]],
+                                     factor * 2.0 * np.pi, IntegrationOptions())
+        assert (found is not None) == returns
+        if returns:
+            assert abs(found.period - 2.0 * np.pi) <= 1e-12 and found.residual <= 1e-12
+
+    def test_rejects_other_ranks_and_bad_covectors(self):
+        with pytest.raises(UnsupportedRankError):
+            classify_sweep([np.ones(4), np.ones(4)], SkewMatrix.zero(4), Ellipsoid(np.eye(4)))
+        with pytest.raises(AbnormalCovectorError):
+            classify_sweep([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], ROT12, BALL3)
+
+    def test_debug_log_line_carries_the_work_counters(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
+            classify_sweep([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]], ROT12, BALL3)
+        lines = [json.loads(r.getMessage()) for r in caplog.records
+                 if r.getMessage().startswith("{")]
+        assert len(lines) == 1
+        line = lines[0]
+        assert line["lanes"] == 2 and line["returns"] == 2 and line["candidates"] == 2
+        # 12 right-hand sides per step try, 3 per candidate's dense output
+        tries = line["accepted_steps"] + line["rejected_steps"]
+        assert line["rhs_rows"] >= 12 * tries + 3 * line["candidates"]
+
+
+class TestLanes:
+    @pytest.mark.parametrize("family", ["ellipsoid", "translated_ellipsoid"])
+    def test_each_lane_takes_the_steps_of_scipy_dop853(self, family):
+        # Over a fixed span every lane makes the accepted steps solve_ivp
+        # makes from its start, and ends where it ends.
+        rng = np.random.default_rng(35)
+        opts = IntegrationOptions()
+        body = random_body(rng, 3, family)
+        matrix = random_skew(rng, 3).matrix
+        starts = np.array([body.normalize_to_level(random_covector(rng, 3)) for _ in range(6)])
+        span = 7.0
+        lanes = flow._Lanes(lambda hs: -body._level_gradient_batch(hs) @ matrix.T,
+                            starts, span, opts)
+        ids, steps, ends = np.arange(len(starts)), np.zeros(len(starts), int), starts.copy()
+        while ids.size:
+            steps[ids[lanes.step()]] += 1
+            done = lanes.t >= span
+            ends[ids[done]] = lanes.y[done]
+            lanes.keep(~done)
+            ids = ids[~done]
+        for start, count, end in zip(starts, steps, ends):
+            sol = solve_ivp(lambda t, h: -matrix @ body._level_gradient(h), (0.0, span), start,
+                            method="DOP853", rtol=opts.rtol, atol=opts.atol)
+            assert count == sol.t.size - 1
+            np.testing.assert_allclose(end, sol.y[:, -1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rtol", -1.0), ("rtol", 1e-16), ("atol", 0.0), ("max_drift", np.inf),
+    ("kernel_rel_tol", 1e-20), ("kernel_rel_tol", 2.0), ("parallel_tol", np.nan),
+    ("capture_radius", "wide"), ("g_tol", -1e-12), ("t_max", 0.0),
+])
+def test_options_reject_bad_values(field, value):
+    with pytest.raises(InputError, match=field):
+        IntegrationOptions(**{field: value})
+
+
+def test_options_accept_their_edge_values():
+    opts = IntegrationOptions(rtol=100.0 * np.finfo(float).eps, g_tol=0.0, kernel_rel_tol=1e-15)
+    assert opts.t_max is None and opts.g_tol == 0.0
 
 
 _UNIT = st.floats(-1.0, 1.0)
