@@ -52,7 +52,8 @@ class TestConfigParsing:
         (lambda d: d.update(body={"type": "lp_ball", "p": 1.0}), "body"),
         (lambda d: d.update(body={"type": "cube"}), "body"),
         (lambda d: d.pop("h0"), "h0"),
-        (lambda d: d.update(tolerances={"rtol": 1e-16}), "rtol"),
+        pytest.param(lambda d: d.update(tolerances={"rtol": 1e-16}),
+                     "rtol.*100 eps", id="rtol_below_floor"),
         (lambda d: d.update(tolerances={"g_tol": -1e-12}), "g_tol"),
     ])
     def test_bad_fields_are_named(self, mutate, needle):
