@@ -11,10 +11,7 @@ from .algebra import (
     AlgebraSpec,
     CasimirBasis,
     LeafClass,
-    PoissonTable,
     SkewMatrix,
-    bracket_table,
-    casimir_value,
     kernel_basis,
     leaf_classify,
 )
@@ -38,7 +35,6 @@ from .flow import (
     classify_k3,
     classify_sweep,
     detect_period,
-    integrate_vertical,
     quasi_periodicity_check,
 )
 from .lift import GroupPoint, HorizontalTrajectory, integrate_horizontal
@@ -63,7 +59,6 @@ __all__ = [
     "LeafClass",
     "LpBall",
     "PeriodResult",
-    "PoissonTable",
     "QuasiPeriodResult",
     "RunConfig",
     "SkewMatrix",
@@ -71,13 +66,10 @@ __all__ = [
     "TranslatedEllipsoid",
     "UnsupportedRankError",
     "ValidationReport",
-    "bracket_table",
-    "casimir_value",
     "classify_k3",
     "classify_sweep",
     "detect_period",
     "integrate_horizontal",
-    "integrate_vertical",
     "kernel_basis",
     "leaf_classify",
     "load_config",

@@ -129,43 +129,6 @@ class SkewMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PoissonTable:
-    """Structure constants of the Lie-Poisson bracket on basis Hamiltonians.
-
-    ``structure[a, b, c]`` is the coefficient of basis element c in the
-    bracket of basis elements a and b.  Basis order: h_1..h_k, then the
-    second-layer h_ij in pair order.
-    """
-
-    spec: AlgebraSpec
-    structure: np.ndarray
-    labels: tuple[str, ...]
-
-    def bracket(self, a: int, b: int) -> np.ndarray:
-        """Coefficient vector of {e_a, e_b} over the basis."""
-        return self.structure[a, b].copy()
-
-
-def bracket_table(spec: AlgebraSpec) -> PoissonTable:
-    """Tabulate the full Poisson bracket: {h_i, h_j} = h_ij, all else zero.
-
-    The table is antisymmetric and satisfies the Jacobi identity; brackets
-    involving any second-layer element vanish (the second layer is central).
-    """
-    k, n = spec.k, spec.dim
-    structure = np.zeros((n, n, n))
-    for i, j in spec.pairs():
-        c = k + spec.pair_index(i, j)
-        structure[i - 1, j - 1, c] = 1.0
-        structure[j - 1, i - 1, c] = -1.0
-    labels = tuple(f"h_{i}" for i in range(1, k + 1)) + tuple(
-        f"h_{i}{j}" for i, j in spec.pairs()
-    )
-    structure.setflags(write=False)
-    return PoissonTable(spec=spec, structure=structure, labels=labels)
-
-
-@dataclass(frozen=True, eq=False)
 class CasimirBasis:
     """Orthonormal basis of ker M; each vector a defines I_a(h) = <a, h>.
 
@@ -193,6 +156,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_kernel_rel_tol(rel_tol: float) -> None:
+    """Raise InputError unless rel_tol lies in [1e-15, 1).
+
+    SVD rounding leaves exact kernels at a few 1e-16 sigma_max, so a smaller
+    cut can miss them; a cut of 1 takes every singular vector.
+    """
+    if not 1e-15 <= rel_tol < 1.0:
+        raise InputError(f"kernel_rel_tol must lie in [1e-15, 1), got {rel_tol!r}")
+
+
 def kernel_basis(skew: SkewMatrix, rel_tol: float = KERNEL_REL_TOL) -> CasimirBasis:
     """Orthonormal basis of the numerical kernel of M via SVD.
 
@@ -200,7 +173,9 @@ def kernel_basis(skew: SkewMatrix, rel_tol: float = KERNEL_REL_TOL) -> CasimirBa
     scaling, denormals included, so the decision is scale-free.  Singular
     vectors with sigma <= rel_tol * sigma_max belong to the kernel.  A zero
     matrix yields the standard basis; for odd k the basis is never empty.
+    rel_tol outside [1e-15, 1) raises InputError.
     """
+    check_kernel_rel_tol(rel_tol)
     if skew.is_zero:
         vecs, sigma_max, near = np.eye(skew.k), 0.0, False
     else:
@@ -211,15 +186,6 @@ def kernel_basis(skew: SkewMatrix, rel_tol: float = KERNEL_REL_TOL) -> CasimirBa
         near = bool(not mask.all() and s[~mask][-1] < NEAR_SINGULAR_BAND * s[0])
     vecs.setflags(write=False)
     return CasimirBasis(vectors=vecs, sigma_max=sigma_max, near_singular=near)
-
-
-def casimir_value(a, h) -> float:
-    """Inner product <a, h>, the value of the linear integral I_a at h."""
-    a = np.asarray(a, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if a.shape != h.shape or a.ndim != 1:
-        raise InputError(f"dimension mismatch: a has shape {a.shape}, h has shape {h.shape}")
-    return float(a @ h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +214,13 @@ def leaf_classify(skew: SkewMatrix, h, rel_tol: float = KERNEL_REL_TOL) -> LeafC
         raise InputError(f"expected a covector of length 3, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise InputError("covector has non-finite entries")
+    basis = kernel_basis(skew, rel_tol)
     if skew.is_zero:
         return LeafClass(kind="zero_dim", skew_levels=skew.flat(), point=h.copy())
-    a = kernel_basis(skew, rel_tol).vectors[0]
+    a = basis.vectors[0]
     return LeafClass(
         kind="two_dim",
         skew_levels=skew.flat(),
         casimir=a,
-        casimir_level=casimir_value(a, h),
+        casimir_level=float(a @ h),
     )

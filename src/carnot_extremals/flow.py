@@ -24,7 +24,8 @@ import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
-from .algebra import CasimirBasis, SkewMatrix, kernel_basis
+from .algebra import (KERNEL_REL_TOL, CasimirBasis, SkewMatrix, check_kernel_rel_tol,
+                      kernel_basis)
 from .bodies import ControlBody
 from .errors import (
     DriftExceededError,
@@ -59,7 +60,7 @@ class IntegrationOptions:
     rtol: float = 1e-13
     atol: float = 1e-15
     max_drift: float = 1e-7
-    kernel_rel_tol: float = 1e-10
+    kernel_rel_tol: float = KERNEL_REL_TOL
     parallel_tol: float = 1e-9
     parallel_warn_band: float = 1e-6
     capture_radius: float = 1e-3
@@ -82,9 +83,7 @@ class IntegrationOptions:
                 ok, bound = number > 0.0, "> 0"
             if not (ok and np.isfinite(number)):
                 raise InputError(f"{field.name} must be finite and {bound}, got {value!r}")
-        # SVD rounding leaves exact kernels at a few 1e-16 sigma_max; a cut of 1 takes all.
-        if not 1e-15 <= self.kernel_rel_tol < 1.0:
-            raise InputError(f"kernel_rel_tol must lie in [1e-15, 1), got {self.kernel_rel_tol!r}")
+        check_kernel_rel_tol(self.kernel_rel_tol)
         # SciPy's DOP853 raises a smaller rtol to this floor; rejecting it keeps
         # the single and the batched first-return searches on one problem.
         if self.rtol < 100.0 * _EPS:
@@ -98,8 +97,7 @@ class Trajectory:
     The second-layer momenta are constants of motion and are stored once in
     ``skew`` rather than per sample.  ``level_drift[m]`` is |H(h_m) - 1| and
     ``casimir_drift[m, n]`` is |I_a_n(h_m) - I_a_n(h_0)| for the n-th kernel
-    basis vector.  ``state``/``control`` evaluate the dense output between
-    grid nodes.
+    basis vector.
     """
 
     t: np.ndarray
@@ -111,9 +109,6 @@ class Trajectory:
     level_drift: np.ndarray
     casimir_drift: np.ndarray
 
-    body: ControlBody | None = None
-    dense: Callable | None = None
-
     @property
     def max_level_drift(self) -> float:
         return float(self.level_drift.max(initial=0.0))
@@ -123,16 +118,6 @@ class Trajectory:
         if self.casimir_drift.size == 0:
             return np.zeros(len(self.casimirs))
         return self.casimir_drift.max(axis=0)
-
-    def state(self, t) -> np.ndarray:
-        """Covector h(t) from the dense output, for scalar or array t."""
-        if self.dense is None:
-            raise IntegrationError("dense output is not available for this trajectory")
-        return self.dense(t)
-
-    def control(self, t: float) -> np.ndarray:
-        """Extremal control grad H(h(t)) from the dense output (scalar t)."""
-        return self.body._gradient(np.asarray(self.state(t), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -218,20 +203,17 @@ def _dense_values(sol, t) -> np.ndarray:
     return y.T
 
 
-def _output_grid(h0, skew: SkewMatrix, body: ControlBody, t_span, samples: int):
-    """h0 rescaled to H = 1 and the uniform grid of samples + 1 output times."""
+def _output_grid(h0, skew: SkewMatrix, body: ControlBody, t1: float, samples: int):
+    """h0 rescaled to H = 1 and the uniform grid of samples + 1 times on [0, t1]."""
     h0 = body.normalize_to_level(h0)
     if h0.size != skew.k:
         raise InputError(f"h0 has length {h0.size}, skew matrix expects {skew.k}")
-    if np.isscalar(t_span):
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = (float(v) for v in t_span)
-    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
-        raise InputError(f"time span must be finite with t1 > t0, got ({t0}, {t1})")
+    t1 = float(t1)
+    if not (np.isfinite(t1) and t1 > 0.0):
+        raise InputError(f"horizon t1 must be finite and > 0, got {t1}")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    return h0, np.linspace(t0, t1, samples + 1)
+    return h0, np.linspace(0.0, t1, samples + 1)
 
 
 def _check_drift(ts, level_drift, casimir_drift, max_drift, build_partial):
@@ -252,27 +234,7 @@ def _check_drift(ts, level_drift, casimir_drift, max_drift, build_partial):
     )
 
 
-def integrate_vertical(h0, skew: SkewMatrix, body: ControlBody, t_span,
-                       opts: IntegrationOptions | None = None,
-                       samples: int = 1000) -> Trajectory:
-    """Integrate the vertical system on a uniform output grid.
-
-    h0 is rescaled to the level set H = 1 before integration (the zero
-    covector is rejected as abnormal).  The output grid of ``samples`` + 1
-    nodes is decoupled from the adaptive steps via dense output.  At every
-    node the drift of H and of each linear integral I_a, a in ker M, is
-    logged; if any drift exceeds ``opts.max_drift`` a DriftExceededError is
-    raised carrying the offending time and the partial trajectory.
-    """
-    opts = opts or IntegrationOptions()
-    h0, ts = _output_grid(h0, skew, body, t_span, samples)
-    basis = kernel_basis(skew, opts.kernel_rel_tol)
-    sol = _solve(_make_rhs(body, skew.matrix), ts[0], ts[-1], h0, opts)
-    return _assemble_vertical(ts, _dense_values(sol, ts).T, skew, basis, body, opts,
-                              dense=sol.sol)
-
-
-def _assemble_vertical(ts, hs, skew, basis, body, opts, dense=None) -> Trajectory:
+def _assemble_vertical(ts, hs, skew, basis, body, opts) -> Trajectory:
     level = body._support_batch(hs)
     level_drift = np.abs(level - 1.0)
     if len(basis):
@@ -286,14 +248,12 @@ def _assemble_vertical(ts, hs, skew, basis, body, opts, dense=None) -> Trajector
             t=ts[:i], h=hs[:i], u=body._gradient_batch(hs[:i]),
             skew=skew, casimirs=basis,
             level_drift=level_drift[:i], casimir_drift=casimir_drift[:i],
-            body=body, dense=dense,
         )
 
     _check_drift(ts, level_drift, casimir_drift, opts.max_drift, build_partial)
     u = body._gradient_batch(hs)
     return Trajectory(t=ts, h=hs, u=u, skew=skew, casimirs=basis,
-                      level_drift=level_drift, casimir_drift=casimir_drift,
-                      body=body, dense=dense)
+                      level_drift=level_drift, casimir_drift=casimir_drift)
 
 
 def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None) -> PeriodResult:
@@ -356,9 +316,9 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
         if back.status != 1:
             break
         a, b = float(back.t[-2]), float(back.t[-1])
-        state_at = _last_step(rhs, back, opts)
-        t_star = _bisect_crossing(lambda t: rises(t, state_at(t)), a, b, opts.g_tol)
-        h_star = state_at(t_star)
+        h_at = _last_step(rhs, back, opts)
+        t_star = _bisect_crossing(lambda t: rises(t, h_at(t)), a, b, opts.g_tol)
+        h_star = h_at(t_star)
         residual = float(np.linalg.norm(h_star - h0))
         if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
             logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
@@ -377,7 +337,7 @@ def _last_step(rhs, leg, opts: IntegrationOptions) -> Callable[[float], np.ndarr
     end = leg.y[:, -1]
     dense = None
 
-    def state_at(t):
+    def h_at(t):
         nonlocal dense
         if t == b:
             return end
@@ -385,7 +345,7 @@ def _last_step(rhs, leg, opts: IntegrationOptions) -> Callable[[float], np.ndarr
             dense = _solve(rhs, a, b, leg.y[:, -2], opts).sol
         return dense(t)
 
-    return state_at
+    return h_at
 
 
 def _bisect_crossing(g, a, b, g_tol) -> float:
@@ -624,7 +584,7 @@ def _interpolant_root(rows, t_old, h, y_old, h0, vhat) -> tuple[float, np.ndarra
     event roots; should rounding of the interpolant leave no sign change,
     the end with the smaller |g| is taken.
     """
-    def state(t):
+    def h_at(t):
         x = (t - t_old) / h
         y = np.zeros_like(y_old)
         for i, row in enumerate(rows[::-1]):
@@ -633,7 +593,7 @@ def _interpolant_root(rows, t_old, h, y_old, h0, vhat) -> tuple[float, np.ndarra
         return y + y_old
 
     def g(t):
-        return float(vhat @ (state(t) - h0))
+        return float(vhat @ (h_at(t) - h0))
 
     a, b = t_old, t_old + h
     ga, gb = g(a), g(b)
@@ -641,7 +601,7 @@ def _interpolant_root(rows, t_old, h, y_old, h0, vhat) -> tuple[float, np.ndarra
         t_star = brentq(g, a, b, xtol=4.0 * _EPS, rtol=4.0 * _EPS)
     else:
         t_star = a if abs(ga) < abs(gb) else b
-    return float(t_star), state(t_star)
+    return float(t_star), h_at(t_star)
 
 
 def _detect_each(body: ControlBody, matrix: np.ndarray, starts, t_max: float,

@@ -83,10 +83,6 @@ class HorizontalTrajectory:
     def endpoint(self) -> GroupPoint:
         return GroupPoint(self.x[-1], self.y[-1])
 
-    def control(self, t: float) -> np.ndarray:
-        """Extremal control at arbitrary t from the dense output."""
-        return self.trajectory.control(t)
-
 
 def _antiderivative_weights(s) -> np.ndarray:
     """(N, _NODES) weights of int_0^s for the polynomial through the nodes.
@@ -144,9 +140,12 @@ def integrate_horizontal(h0, skew: SkewMatrix, body: ControlBody, t1: float,
 
     Only the covector h is integrated; x and y are quadratures of
     u(t) = grad H(h(t)) on the solver steps (see _lift), so the step size
-    control sees h alone.  Drift monitoring and abort semantics match
-    integrate_vertical; on a drift abort the partial result attached to the
-    error is a HorizontalTrajectory.
+    control sees h alone.  h0 is rescaled to the level set H = 1 first (the
+    zero covector is rejected as abnormal), and the grid has ``samples`` + 1
+    uniform nodes on [0, t1].  ``trajectory`` holds h, u and, at every node,
+    the drift of H and of each linear integral I_a, a in ker M.  A drift
+    above ``opts.max_drift`` raises DriftExceededError carrying the offending
+    time and, as ``partial``, the HorizontalTrajectory up to it.
     """
     opts = opts or IntegrationOptions()
     h0, ts = _output_grid(h0, skew, body, t1, samples)
@@ -156,7 +155,7 @@ def integrate_horizontal(h0, skew: SkewMatrix, body: ControlBody, t1: float,
     basis = kernel_basis(skew, opts.kernel_rel_tol)
 
     try:
-        vertical = _assemble_vertical(ts, hs, skew, basis, body, opts, dense=sol.sol)
+        vertical = _assemble_vertical(ts, hs, skew, basis, body, opts)
     except DriftExceededError as err:
         stop = err.partial.t.size
         err.partial = HorizontalTrajectory(trajectory=err.partial, x=xs[:stop], y=ys[:stop])

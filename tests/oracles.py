@@ -5,8 +5,10 @@ checks: finite differences instead of analytic gradients, matrix
 exponentials instead of the ODE solver, explicit null-space formulas instead
 of the SVD kernel, polygon areas instead of the lifted coordinates, one
 solve of the full chart equations instead of the step-wise quadrature lift,
-and a dense solve with root-finding on the distance to h0 instead of the
-event-driven period search.
+a dense solve with root-finding on the distance to h0 instead of the
+event-driven period search, a dense solve of the flow for the control, and
+a bracket table written out from {h_i, h_j} = h_ij for the Lie-Poisson
+identities.
 """
 
 import numpy as np
@@ -51,6 +53,21 @@ def brute_force_support(body, h, n_theta=600, n_phi=1200):
     return float((points @ h).max())
 
 
+def bracket_structure(k):
+    """Structure constants of the Lie-Poisson bracket on the basis Hamiltonians.
+
+    ``c[a, b, d]`` is the coefficient of basis element d in {e_a, e_b}, with
+    the basis h_1..h_k, then h_ij (i < j) in lexicographic order.  Only
+    {h_i, h_j} = h_ij and {h_j, h_i} = -h_ij are nonzero.
+    """
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    c = np.zeros((k + len(pairs),) * 3)
+    for d, (i, j) in enumerate(pairs, start=k):
+        c[i, j, d] = 1.0
+        c[j, i, d] = -1.0
+    return c
+
+
 def so3_kernel_direction(matrix):
     """Unit kernel vector of a nonzero 3x3 skew matrix (its rotation axis)."""
     axis = np.array([-matrix[1, 2], matrix[0, 2], -matrix[0, 1]])
@@ -85,6 +102,24 @@ def chart_lift(body, matrix, h0, ts):
                     t_eval=ts)
     assert sol.success, sol.message
     return sol.y[k:2 * k].T, sol.y[2 * k:].T
+
+
+def dense_control(body, matrix, h0, t1):
+    """u(t) = grad H(h(t)) on [0, t1] from one dense solve of the vertical flow.
+
+    dh/dt = -M grad H(h) with the public support_gradient, from h0 rescaled
+    to H = 1; the returned function takes a scalar t.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+
+    def rhs(t, h):
+        return -matrix @ body.support_gradient(h)
+
+    h0 = np.asarray(h0, dtype=float)
+    sol = solve_ivp(rhs, (0.0, t1), h0 / body.support(h0), method="DOP853", rtol=1e-13,
+                    atol=1e-15, dense_output=True)
+    assert sol.success, sol.message
+    return lambda t: body.support_gradient(sol.sol(t))
 
 
 def shoelace_area(xs, ys):

@@ -6,13 +6,11 @@ from carnot_extremals import (
     InputError,
     SkewMatrix,
     UnsupportedRankError,
-    bracket_table,
-    casimir_value,
     kernel_basis,
     leaf_classify,
 )
 
-from oracles import random_skew, so3_kernel_direction
+from oracles import bracket_structure, random_skew, so3_kernel_direction
 
 SCALES = (1e-300, 1e-200, 1e-15, 1e-7, 1e200, 1e300)
 
@@ -66,38 +64,33 @@ class TestSkewMatrix:
 
 class TestBracketTable:
     def test_k2_single_bracket(self):
-        table = bracket_table(AlgebraSpec(2))
+        c = bracket_structure(2)
         # {h_1, h_2} = h_12, everything else vanishes
-        np.testing.assert_array_equal(table.bracket(0, 1), [0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(table.bracket(1, 0), [0.0, 0.0, -1.0])
-        first_level = table.structure[:2, :2]
+        np.testing.assert_array_equal(c[0, 1], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(c[1, 0], [0.0, 0.0, -1.0])
+        first_level = c[:2, :2]
         assert np.count_nonzero(first_level[np.triu_indices(2, 1)]) == 1
 
     @pytest.mark.parametrize("k,expected", [(3, 3), (4, 6)])
     def test_first_level_bracket_count(self, k, expected):
-        spec = AlgebraSpec(k)
-        table = bracket_table(spec)
+        c = bracket_structure(k)
         count = sum(
             1 for i in range(k) for j in range(i + 1, k)
-            if table.structure[i, j].any()
+            if c[i, j].any()
         )
         assert count == expected
         # the second layer is central: all its brackets vanish
-        assert not table.structure[k:, :, :].any()
-        assert not table.structure[:, k:, :].any()
+        assert not c[k:, :, :].any()
+        assert not c[:, k:, :].any()
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_antisymmetry_and_jacobi(self, k):
-        c = bracket_table(AlgebraSpec(k)).structure
+        c = bracket_structure(k)
         np.testing.assert_array_equal(c, -np.swapaxes(c, 0, 1))
         # sum over cyclic permutations of {e_a, {e_b, e_c}}
         inner = np.einsum("bcm,amd->abcd", c, c)
         jacobi = inner + np.einsum("abcd->bcad", inner) + np.einsum("abcd->cabd", inner)
         assert not jacobi.any()
-
-    def test_labels(self):
-        table = bracket_table(AlgebraSpec(3))
-        assert table.labels == ("h_1", "h_2", "h_3", "h_12", "h_13", "h_23")
 
 
 class TestKernelBasis:
@@ -189,28 +182,28 @@ class TestKernelBasis:
         np.testing.assert_allclose(denormal.vectors[0], np.array([0.0, 6.0, -1.0]) / np.sqrt(37.0),
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("rel_tol", [1e-20, 0.0, 1.0, 2.0, np.nan])
+    def test_rejects_rel_tol_outside_its_range(self, rel_tol):
+        # Unchecked, 1e-20 leaves this 3 x 3 M without a kernel (leaf_classify
+        # then fails with IndexError) and 2.0 gives it a 3-dimensional one.
+        m = SkewMatrix.from_entries(3, {(1, 2): 1.0, (1, 3): -0.4, (2, 3): 0.3})
+        for skew in (m, SkewMatrix.zero(3)):
+            with pytest.raises(InputError, match="kernel_rel_tol"):
+                kernel_basis(skew, rel_tol)
+            with pytest.raises(InputError, match="kernel_rel_tol"):
+                leaf_classify(skew, [1.0, 0.2, -0.4], rel_tol)
 
-class TestCasimirValue:
-    def test_coordinate_projection(self):
-        assert casimir_value([0.0, 0.0, 1.0], [5.0, 7.0, 2.0]) == 2.0
-
-    def test_zero_vector(self):
-        assert casimir_value(np.zeros(3), [1.0, 2.0, 3.0]) == 0.0
-
-    def test_orthogonal_pair(self):
-        a = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        assert casimir_value(a, [1.0, -1.0, 9.0]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            casimir_value([1.0, 0.0], [1.0, 0.0, 0.0])
+    def test_accepts_the_smallest_rel_tol(self):
+        m = SkewMatrix.from_entries(3, {(1, 2): 1.0, (1, 3): -0.4, (2, 3): 0.3})
+        assert len(kernel_basis(m, 1e-15)) == 1
+        assert leaf_classify(m, [1.0, 0.2, -0.4], 1e-15).kind == "two_dim"
 
 
 def test_casimirs_poisson_commute_with_coordinates():
     # Evaluate {I_a, h_i} through the structure table at the point (h, M):
     # the result must equal -(M a)_i, hence vanish for a in ker M.
     rng = np.random.default_rng(6)
-    table = bracket_table(AlgebraSpec(3)).structure
+    table = bracket_structure(3)
     for _ in range(50):
         m = random_skew(rng, 3)
         flat = m.flat()

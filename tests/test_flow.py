@@ -21,7 +21,7 @@ from carnot_extremals import (
     classify_k3,
     classify_sweep,
     detect_period,
-    integrate_vertical,
+    integrate_horizontal,
     quasi_periodicity_check,
 )
 
@@ -39,6 +39,11 @@ from oracles import (
 
 BALL3 = Ellipsoid(np.eye(3))
 ROT12 = SkewMatrix.from_entries(3, {(1, 2): 1.0})
+
+
+def vertical(h0, skew, body, t1, **kwargs):
+    """The vertical trajectory of integrate_horizontal."""
+    return integrate_horizontal(h0, skew, body, t1, **kwargs).trajectory
 
 
 def unit_rotation(t, h):
@@ -67,7 +72,7 @@ class TestIntegrateVertical:
             body = Ellipsoid(np.eye(k))
             m = random_skew(rng, k)
             h0 = body.normalize_to_level(rng.standard_normal(k))
-            traj = integrate_vertical(h0, m, body, 10.0, samples=100)
+            traj = vertical(h0, m, body, 10.0, samples=100)
             for t, h in zip(traj.t[::10], traj.h[::10]):
                 np.testing.assert_allclose(h, linear_flow(m.matrix, h0, t), atol=1e-8)
 
@@ -79,13 +84,12 @@ class TestIntegrateVertical:
             body = Ellipsoid(a)
             m = random_skew(rng, k)
             h0 = body.normalize_to_level(rng.standard_normal(k))
-            traj = integrate_vertical(h0, m, body, 10.0, samples=100)
+            traj = vertical(h0, m, body, 10.0, samples=100)
             for t, h in zip(traj.t[::10], traj.h[::10]):
                 np.testing.assert_allclose(h, linear_flow(m.matrix @ a, h0, t), atol=1e-8)
 
     def test_zero_matrix_is_exactly_constant(self):
-        traj = integrate_vertical([0.3, -0.2, 0.9], SkewMatrix.zero(3), BALL3, 10.0,
-                                  samples=50)
+        traj = vertical([0.3, -0.2, 0.9], SkewMatrix.zero(3), BALL3, 10.0, samples=50)
         assert (traj.h == traj.h[0]).all()
         assert (traj.u == traj.u[0]).all()
         assert traj.max_level_drift <= 1e-15
@@ -96,18 +100,18 @@ class TestIntegrateVertical:
                           (5, "lp_ball")]:
             body = random_body(rng, k, family)
             m = random_skew(rng, k)
-            traj = integrate_vertical(rng.standard_normal(k), m, body, 10.0, samples=200)
+            traj = vertical(rng.standard_normal(k), m, body, 10.0, samples=200)
             assert traj.max_level_drift <= 1e-8
             if len(traj.casimirs):
                 assert traj.max_casimir_drift.max() <= 1e-8
 
     def test_normalizes_input(self):
-        traj = integrate_vertical([5.0, 0.0, 0.0], ROT12, BALL3, 1.0, samples=10)
+        traj = vertical([5.0, 0.0, 0.0], ROT12, BALL3, 1.0, samples=10)
         np.testing.assert_allclose(traj.h[0], [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(traj.u[0], [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_grid_shape(self):
-        traj = integrate_vertical([1.0, 0.0, 0.0], ROT12, BALL3, (0.0, 2.0), samples=40)
+        traj = vertical([1.0, 0.0, 0.0], ROT12, BALL3, 2.0, samples=40)
         assert traj.t.shape == (41,)
         assert traj.h.shape == (41, 3)
         assert traj.u.shape == (41, 3)
@@ -118,22 +122,18 @@ class TestIntegrateVertical:
         body = LpBall(p=4.0)
         opts = IntegrationOptions(rtol=1e-6, atol=1e-9, max_drift=1e-12)
         with pytest.raises(DriftExceededError) as info:
-            integrate_vertical([1.0, 0.4, -0.2], ROT12, body, 20.0,
-                               opts=opts, samples=200)
+            integrate_horizontal([1.0, 0.4, -0.2], ROT12, body, 20.0, opts=opts, samples=200)
         err = info.value
+        partial = err.partial.trajectory
         assert 0.0 <= err.time <= 20.0
         assert err.drift > 1e-12
-        assert err.partial.t.size < 201
-        assert err.partial.h.shape == (err.partial.t.size, 3)
-        assert (err.partial.level_drift <= 1e-12).all()
+        assert partial.t.size < 201
+        assert partial.h.shape == (partial.t.size, 3)
+        assert (partial.level_drift <= 1e-12).all()
 
     def test_rejects_abnormal_initial_covector(self):
         with pytest.raises(AbnormalCovectorError):
-            integrate_vertical(np.zeros(3), ROT12, BALL3, 1.0)
-
-    def test_rejects_bad_span(self):
-        with pytest.raises(InputError):
-            integrate_vertical([1.0, 0.0, 0.0], ROT12, BALL3, (1.0, 1.0))
+            integrate_horizontal(np.zeros(3), ROT12, BALL3, 1.0)
 
 
 class TestDetectPeriod:
@@ -611,7 +611,7 @@ class TestAlignedConstantBranch:
             body = random_body(rng, 3, family)
             m = random_skew(rng, 3)
             h0 = aligned_covector(body, so3_kernel_direction(m.matrix))
-            traj = integrate_vertical(h0, m, body, 10.0, samples=100)
+            traj = vertical(h0, m, body, 10.0, samples=100)
             assert np.linalg.norm(traj.h - traj.h[0], axis=1).max() <= 1e-10
 
 

@@ -15,7 +15,7 @@ from carnot_extremals import (
     integrate_horizontal,
 )
 
-from oracles import FAMILIES, chart_lift, random_body, random_skew, shoelace_area
+from oracles import FAMILIES, chart_lift, dense_control, random_body, random_skew, shoelace_area
 
 HEIS = SkewMatrix.from_entries(2, {(1, 2): 1.0})
 BALL2 = Ellipsoid(np.eye(2))
@@ -52,13 +52,16 @@ class TestIntegrateHorizontal:
         assert abs(abs(res.endpoint.y[0]) - area) <= 1e-6
 
     def test_first_layer_is_time_integral_of_control(self):
-        # adaptive quadrature of the dense control recovers the lifted
-        # first-layer endpoint even across the lp gradient kinks, also at
-        # the extreme exponents
+        # adaptive quadrature of an independently solved dense control
+        # recovers the lifted first-layer endpoint even across the lp
+        # gradient kinks, also at the extreme exponents
         m = SkewMatrix.from_entries(3, {(1, 2): 0.9, (1, 3): -0.4, (2, 3): 0.2})
+        h0 = [0.8, -0.3, 0.5]
         for p in (3.0, 1.01, 50.0):
-            res = integrate_horizontal([0.8, -0.3, 0.5], m, LpBall(p=p), 7.0, samples=200)
-            quadrature, _ = quad_vec(res.control, 0.0, 7.0, epsabs=1e-12, epsrel=1e-12)
+            body = LpBall(p=p)
+            res = integrate_horizontal(h0, m, body, 7.0, samples=200)
+            control = dense_control(body, m.matrix, h0, 7.0)
+            quadrature, _ = quad_vec(control, 0.0, 7.0, epsabs=1e-12, epsrel=1e-12)
             assert np.linalg.norm(res.endpoint.x - quadrature) <= 1e-9, p
 
     def test_reversal_symmetry_centered_body(self):
@@ -102,8 +105,9 @@ class TestIntegrateHorizontal:
         assert partial.x.shape[0] == partial.trajectory.t.size
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(InputError):
-            integrate_horizontal([1.0, 0.0], HEIS, BALL2, -1.0)
+        for t1 in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError, match="t1"):
+                integrate_horizontal([1.0, 0.0], HEIS, BALL2, t1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
