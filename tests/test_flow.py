@@ -135,6 +135,12 @@ class TestIntegrateVertical:
         with pytest.raises(AbnormalCovectorError):
             integrate_horizontal(np.zeros(3), ROT12, BALL3, 1.0)
 
+    def test_rejects_bad_span(self):
+        # the span is [0, t1]: an empty or reversed one is refused
+        for t1 in (0.0, -1.0):
+            with pytest.raises(InputError, match="t1"):
+                vertical([1.0, 0.0, 0.0], ROT12, BALL3, t1)
+
 
 class TestDetectPeriod:
     def test_rotation_flow_unit_speed(self):
