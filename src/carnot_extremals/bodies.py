@@ -23,11 +23,6 @@ from .errors import AbnormalCovectorError, InputError
 # fires on genuinely degenerate input.
 ZERO_GUARD = 1e-300
 
-# Outside this band the quadratic form h^T A h of an ellipsoid may have lost
-# digits to underflow or overflow; such covectors are first rescaled by a
-# power of two, which is exact, and the result is scaled back.
-_QUADRATIC_BAND = (1e-280, 1e280)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -43,11 +38,17 @@ class ValidationReport:
 class ControlBody(abc.ABC):
     """Base class for control sets exposed through their support function.
 
-    The vertical flow is driven by ``_level_gradient``, the gradient of
-    H^s / s for an exponent s > 0 each family picks.  It is H^(s-1) grad H:
-    parallel to grad H and equal to it on the level set H = 1, so H and
-    every linear integral stay exact first integrals and the flow on that
-    level set is unchanged.  The default is grad H itself (s = 1).
+    Each family evaluates H and grad H in row kernels: ``_support(hs)`` and
+    ``_gradient(hs)`` take an (N, k) array of nonzero covectors and return
+    (N,) support values and (N, k) gradients.
+
+    The vertical flow is driven by the gradient of H^s / s for an exponent
+    s > 0 each family picks.  It is H^(s-1) grad H: parallel to grad H and
+    equal to it on the level set H = 1, so H and every linear integral stay
+    exact first integrals and the flow on that level set is unchanged.
+    ``_level_gradient(hs)`` is its row kernel, grad H itself (s = 1) unless
+    a family overrides it, and ``_level_gradient_at(h)`` evaluates it at one
+    covector for SciPy's solver, which calls it once per stage.
     """
 
     kind: ClassVar[str]
@@ -66,27 +67,16 @@ class ControlBody(abc.ABC):
         """JSON-ready description matching the CLI config schema."""
 
     @abc.abstractmethod
-    def _support(self, h: np.ndarray) -> float: ...
+    def _support(self, hs: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def _gradient(self, h: np.ndarray) -> np.ndarray: ...
+    def _gradient(self, hs: np.ndarray) -> np.ndarray: ...
 
-    def _level_gradient(self, h: np.ndarray) -> np.ndarray:
-        return self._gradient(h)
-
-    # Row kernels: the same maps on an (N, k) array of nonzero covectors,
-    # returning (N,) support values and (N, k) gradients.  The scalar forms
-    # serve one point at a time; these serve whole sampled trajectories and
-    # the lanes of a batched sweep (``_level_gradient_batch``).
+    def _level_gradient(self, hs: np.ndarray) -> np.ndarray:
+        return self._gradient(hs)
 
     @abc.abstractmethod
-    def _support_batch(self, hs: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def _gradient_batch(self, hs: np.ndarray) -> np.ndarray: ...
-
-    def _level_gradient_batch(self, hs: np.ndarray) -> np.ndarray:
-        return self._gradient_batch(hs)
+    def _level_gradient_at(self, h: np.ndarray) -> np.ndarray: ...
 
     def validate(self) -> ValidationReport:
         return ValidationReport(tuple(self.violations()))
@@ -100,7 +90,7 @@ class ControlBody(abc.ABC):
         h = self._covector(h)
         if not h.any():
             return 0.0
-        return float(self._support(h))
+        return float(self._support(h[None])[0])
 
     def support_gradient(self, h) -> np.ndarray:
         """Evaluate grad H(h), the unique maximizing control on the boundary of U.
@@ -109,7 +99,7 @@ class ControlBody(abc.ABC):
         """
         h = self._covector(h)
         self._require_nonzero(h, "support gradient")
-        return self._gradient(h)
+        return self._gradient(h[None])[0]
 
     def normalize_to_level(self, h0) -> np.ndarray:
         """Rescale h0 to the level set H = 1, preserving its direction.
@@ -119,7 +109,7 @@ class ControlBody(abc.ABC):
         """
         h0 = self._covector(h0)
         self._require_nonzero(h0, "level normalization")
-        return h0 / self._support(h0)
+        return h0 / self._support(h0[None])[0]
 
     def _covector(self, h) -> np.ndarray:
         arr = np.asarray(h, dtype=float)
@@ -138,27 +128,12 @@ class ControlBody(abc.ABC):
             )
 
 
-def _quadratic(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(w, A w, w^T A w, e) with w = h / 2^e.
-
-    e = 0 unless h^T A h leaves the quadratic band; then w is h rescaled to
-    max |w_i| in [1/2, 1).  Scaling by a power of two is exact.
-    """
-    ah = a @ h
-    d = float(h @ ah)
-    if _QUADRATIC_BAND[0] < d < _QUADRATIC_BAND[1]:
-        return h, ah, d, 0
-    e = math.frexp(float(np.abs(h).max()))[1]
-    w = np.ldexp(h, -e)
-    aw = a @ w
-    return w, aw, float(w @ aw), e
-
-
 def _quadratic_rows(a: np.ndarray, hs: np.ndarray):
-    """Row-wise _quadratic, with every row rescaled to max |w_i| in [1/2, 1).
+    """(w, A w, w^T A w, e) for each row h of hs, with w = h / 2^e, max |w_i| in [1/2, 1).
 
-    The rescaling is exact, so inside the band it changes no result, except
-    that a component far below its row's maximum may round to a subnormal.
+    Scaling by a power of two is exact and keeps h^T A h from under- or
+    overflowing, so covectors from 1e-300 to 1e300 keep every digit.  A
+    component far below its row's maximum may round to a subnormal.
     """
     e = np.frexp(np.abs(hs).max(axis=1))[1]
     w = np.ldexp(hs, -e[:, None])
@@ -208,28 +183,20 @@ class Ellipsoid(ControlBody):
     def to_config(self) -> dict:
         return {"type": self.kind, "A": self.shape_matrix.tolist()}
 
-    def _support(self, h):
-        _, _, d, e = _quadratic(self.shape_matrix, h)
-        return math.ldexp(math.sqrt(d), e)
-
-    def _gradient(self, h):
-        _, ah, d, _ = _quadratic(self.shape_matrix, h)
-        return ah / math.sqrt(d)
-
-    def _level_gradient(self, h):
-        # grad(H^2 / 2) = A h: linear, no square root.
-        return self.shape_matrix @ h
-
-    def _support_batch(self, hs):
+    def _support(self, hs):
         _, _, d, e = _quadratic_rows(self.shape_matrix, hs)
         return np.ldexp(np.sqrt(d), e)
 
-    def _gradient_batch(self, hs):
+    def _gradient(self, hs):
         _, aw, d, _ = _quadratic_rows(self.shape_matrix, hs)
         return aw / np.sqrt(d)[:, None]
 
-    def _level_gradient_batch(self, hs):
+    def _level_gradient(self, hs):
+        # grad(H^2 / 2) = A h: linear, no square root.
         return hs @ self.shape_matrix  # rows of A h, as A is symmetric
+
+    def _level_gradient_at(self, h):
+        return self.shape_matrix @ h
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,52 +231,39 @@ class LpBall(ControlBody):
     def to_config(self) -> dict:
         return {"type": self.kind, "p": self.p, "r": self.radius}
 
-    def _support(self, h):
+    def _support(self, hs):
         # Scale by the max component so powers stay in [0, 1]; exact for the
         # dual-norm formula by homogeneity.
-        a = np.abs(h)
-        m = a.max()
-        w = a / m
-        return float(self.radius * m * (w**self.q).sum() ** (1.0 / self.q))
-
-    def _gradient(self, h):
-        # On Python floats: for the few components of a covector, NumPy's
-        # per-call overhead would cost more than the arithmetic.  Components
-        # at zero use the limit value 0^(q-1) = 0 for q > 1 and give +0.0.
-        q = self.q
-        e = q - 1.0
-        vals = h.tolist()
-        m = max(map(abs, vals))
-        w = [abs(v) / m for v in vals]
-        c = sum([wi**q for wi in w]) ** (e / q)
-        r = self.radius
-        return np.array([(r if v >= 0.0 else -r) * wi**e / c for wi, v in zip(w, vals)])
-
-    def _level_gradient(self, h):
-        # grad(H^q / q) = r sign(h_i) (r |h_i|)^(q-1): no norm.  As r |h_i| <= H,
-        # the clamp at 2 acts only where H > 2, off the level set, where a
-        # rejected trial stage at p near 1 would otherwise overflow.
-        r = self.radius
-        e = self.q - 1.0
-        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), 2.0) ** e
-                         for v in h.tolist()])
-
-    def _support_batch(self, hs):
         a = np.abs(hs)
         m = a.max(axis=1)
         w = a / m[:, None]
         return self.radius * m * (w**self.q).sum(axis=1) ** (1.0 / self.q)
 
-    def _gradient_batch(self, hs):
+    def _gradient(self, hs):
+        # Scale exactly by a power of two, to max w_i in [1/2, 1): dividing by
+        # the max component would round w, and the power q - 1 (100 at
+        # p = 1.01) would multiply that rounding.
         q = self.q
         a = np.abs(hs)
-        w = a / a.max(axis=1, keepdims=True)
+        w = np.ldexp(a, -np.frexp(a.max(axis=1, keepdims=True))[1])
         s = (w**q).sum(axis=1, keepdims=True)
         return self.radius * np.sign(hs) * w ** (q - 1.0) / s ** ((q - 1.0) / q)
 
-    def _level_gradient_batch(self, hs):
+    def _level_gradient(self, hs):
+        # grad(H^q / q) = r sign(h_i) (r |h_i|)^(q-1): no norm.  As r |h_i| <= H,
+        # the clamp at 2 acts only where H > 2, off the level set, where a
+        # rejected trial stage at p near 1 would otherwise overflow.
         r = self.radius
         return np.where(hs >= 0.0, r, -r) * np.minimum(r * np.abs(hs), 2.0) ** (self.q - 1.0)
+
+    def _level_gradient_at(self, h):
+        # _level_gradient on Python floats: for the few components of one
+        # covector, NumPy's per-call overhead would cost more than the
+        # arithmetic.  Components at zero give +0.0, as in the rows.
+        r = self.radius
+        e = self.q - 1.0
+        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), 2.0) ** e
+                         for v in h.tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,21 +306,18 @@ class TranslatedEllipsoid(ControlBody):
     def to_config(self) -> dict:
         return {"type": self.kind, "A": self.shape_matrix.tolist(), "c": self.center.tolist()}
 
-    def _support(self, h):
-        w, _, d, e = _quadratic(self.shape_matrix, h)
-        return math.ldexp(float(self.center @ w) + math.sqrt(d), e)
-
-    def _gradient(self, h):
-        _, ah, d, _ = _quadratic(self.shape_matrix, h)
-        return self.center + ah / math.sqrt(d)
-
-    def _support_batch(self, hs):
+    def _support(self, hs):
         w, _, d, e = _quadratic_rows(self.shape_matrix, hs)
         return np.ldexp(w @ self.center + np.sqrt(d), e)
 
-    def _gradient_batch(self, hs):
+    def _gradient(self, hs):
         _, aw, d, _ = _quadratic_rows(self.shape_matrix, hs)
         return self.center + aw / np.sqrt(d)[:, None]
+
+    def _level_gradient_at(self, h):
+        # Not rescaled like the rows: the solver only evaluates it near H = 1.
+        ah = self.shape_matrix @ h
+        return self.center + ah / math.sqrt(float(h @ ah))
 
 
 BODY_KINDS = {cls.kind: cls for cls in (Ellipsoid, LpBall, TranslatedEllipsoid)}

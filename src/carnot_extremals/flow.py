@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -43,6 +44,8 @@ UNCLASSIFIED = "unclassified"
 
 _BISECT_MAX_ITER = 200
 _EPS = np.finfo(float).eps
+# |g| at or below this accepts a return candidate of detect_period as it is.
+_G_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,8 @@ class IntegrationOptions:
     default tolerances keep invariant drift orders of magnitude under the
     1e-8 monitoring bars on horizons of a few hundred time units, including
     near equilibria and across the mild gradient kinks of lp bodies.
-    Every value is checked on construction; a bad one raises InputError.
+    Every value must be a real, non-bool number and is stored as a float
+    (``t_max`` may also be None); a bad one raises InputError.
     """
 
     rtol: float = 1e-13
@@ -65,7 +69,6 @@ class IntegrationOptions:
     parallel_warn_band: float = 1e-6
     capture_radius: float = 1e-3
     return_residual_tol: float = 1e-8
-    g_tol: float = 1e-12
     t_max: float | None = None
 
     def __post_init__(self):
@@ -73,16 +76,15 @@ class IntegrationOptions:
             value = getattr(self, field.name)
             if field.name == "t_max" and value is None:
                 continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"{field.name} must be a number, got {value!r}")
             try:
                 number = float(value)
-            except (TypeError, ValueError):
-                raise InputError(f"{field.name} must be a number, got {value!r}") from None
-            if field.name == "g_tol":
-                ok, bound = number >= 0.0, ">= 0"
-            else:
-                ok, bound = number > 0.0, "> 0"
-            if not (ok and np.isfinite(number)):
-                raise InputError(f"{field.name} must be finite and {bound}, got {value!r}")
+            except OverflowError:
+                number = np.inf
+            if not (number > 0.0 and np.isfinite(number)):
+                raise InputError(f"{field.name} must be finite and > 0, got {value!r}")
+            object.__setattr__(self, field.name, number)
         check_kernel_rel_tol(self.kernel_rel_tol)
         # SciPy's DOP853 raises a smaller rtol to this floor; rejecting it keeps
         # the single and the batched first-return searches on one problem.
@@ -159,7 +161,7 @@ def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndar
     On the level set H = 1 it equals -M grad H(h), and it conserves H and
     every I_a exactly as that field does, at a lower cost per call.
     """
-    grad = body._level_gradient
+    grad = body._level_gradient_at
     neg = -matrix
 
     def rhs(t, h):
@@ -211,9 +213,13 @@ def _output_grid(h0, skew: SkewMatrix, body: ControlBody, t1: float, samples: in
     t1 = float(t1)
     if not (np.isfinite(t1) and t1 > 0.0):
         raise InputError(f"horizon t1 must be finite and > 0, got {t1}")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
+    _check_samples(samples)
     return h0, np.linspace(0.0, t1, samples + 1)
+
+
+def _check_samples(samples) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise InputError(f"samples must be an integer >= 1, got {samples!r}")
 
 
 def _check_drift(ts, level_drift, casimir_drift, max_drift, build_partial):
@@ -235,7 +241,7 @@ def _check_drift(ts, level_drift, casimir_drift, max_drift, build_partial):
 
 
 def _assemble_vertical(ts, hs, skew, basis, body, opts) -> Trajectory:
-    level = body._support_batch(hs)
+    level = body._support(hs)
     level_drift = np.abs(level - 1.0)
     if len(basis):
         values = hs @ basis.vectors.T
@@ -245,13 +251,13 @@ def _assemble_vertical(ts, hs, skew, basis, body, opts) -> Trajectory:
 
     def build_partial(i):
         return Trajectory(
-            t=ts[:i], h=hs[:i], u=body._gradient_batch(hs[:i]),
+            t=ts[:i], h=hs[:i], u=body._gradient(hs[:i]),
             skew=skew, casimirs=basis,
             level_drift=level_drift[:i], casimir_drift=casimir_drift[:i],
         )
 
     _check_drift(ts, level_drift, casimir_drift, opts.max_drift, build_partial)
-    u = body._gradient_batch(hs)
+    u = body._gradient(hs)
     return Trajectory(t=ts, h=hs, u=u, skew=skew, casimirs=basis,
                       level_drift=level_drift, casimir_drift=casimir_drift)
 
@@ -267,9 +273,9 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     second one, started there, runs until g rises through zero.  Neither
     keeps dense output: the first is read at its end point, the second at
     the solver's event root and the state there.  That root is the
-    candidate when |g| <= opts.g_tol there; otherwise the last step is
+    candidate when |g| <= _G_TOL there; otherwise the last step is
     solved again with dense output and the root refined by bisection on it
-    until |g| <= opts.g_tol.  The candidate is accepted if it lands within
+    until |g| <= _G_TOL.  The candidate is accepted if it lands within
     opts.capture_radius of h0 with velocity aligned to the initial one;
     otherwise the two stops repeat from the candidate.  So the search
     integrates up to the first return and no further: there are no fixed
@@ -317,7 +323,7 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
             break
         a, b = float(back.t[-2]), float(back.t[-1])
         h_at = _last_step(rhs, back, opts)
-        t_star = _bisect_crossing(lambda t: rises(t, h_at(t)), a, b, opts.g_tol)
+        t_star = _bisect_crossing(lambda t: rises(t, h_at(t)), a, b, _G_TOL)
         h_star = h_at(t_star)
         residual = float(np.linalg.norm(h_star - h0))
         if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
@@ -528,7 +534,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
     the work counters.
     """
     neg_t = -matrix.T
-    grad = body._level_gradient_batch
+    grad = body._level_gradient
 
     def fun(hs):
         return grad(hs) @ neg_t
@@ -657,9 +663,11 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
               search) -> list[ExtremalClass]:
     """The classification of every covector of h0s, with the given return search.
 
-    ``search(body, matrix, starts, t_max, opts)`` returns one PeriodResult,
-    or None where no return came by t_max, for each start, on the flow of
-    ``matrix`` = M / sigma_max.
+    ``search(body, matrix, starts, horizon, opts)`` returns one PeriodResult,
+    or None where no return came by the horizon, for each start, on the flow
+    of ``matrix`` = M / sigma_max, so the horizon is t_max * sigma_max.  A
+    t_max for which that product under- or overflows raises InputError
+    before any search.
     """
     if skew.k != 3:
         raise UnsupportedRankError(f"classification is only supported for k = 3, got k = {skew.k}")
@@ -675,6 +683,13 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
     # tiny M underflows the initial speed and a huge one overflows the first step.
     basis = kernel_basis(skew, opts.kernel_rel_tol)
     sigma = basis.sigma_max
+    if opts.t_max is None:
+        t_max, horizon = 100.0 * (2.0 * np.pi / sigma), 200.0 * np.pi
+    else:
+        t_max, horizon = opts.t_max, opts.t_max * sigma
+        if not 0.0 < horizon < np.inf:
+            raise InputError(f"t_max = {t_max:.6g} scaled by sigma_max = {sigma:.6g} is not "
+                             f"a positive finite horizon")
     a = basis.vectors[0]
     out: list[ExtremalClass | None] = []
     moving = []
@@ -693,8 +708,7 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
     if not moving:
         return out
 
-    t_max = opts.t_max if opts.t_max is not None else 100.0 * (2.0 * np.pi / sigma)
-    found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving], t_max * sigma, opts)
+    found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving], horizon, opts)
     for (i, _, residual, warnings), result in zip(moving, found):
         if result is None:
             out[i] = ExtremalClass(
@@ -738,8 +752,7 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
         raise InputError(f"need 0 <= delta < t_max < inf, got delta={delta}, t_max={t_max}")
     if samples is None:
         samples = max(int(round((t_max - delta) / 0.01)) + 1, 1001)
-    if samples < 1:
-        raise InputError(f"need samples >= 1, got {samples}")
+    _check_samples(samples)
 
     rhs = _make_rhs(body, skew.matrix)
     sol = _solve(rhs, 0.0, t_max, h0, opts)

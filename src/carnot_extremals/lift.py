@@ -116,7 +116,7 @@ def _lift(sol, ts: np.ndarray, body: ControlBody, k: int) -> tuple[np.ndarray, n
     t_old = sol.t[:-1]
     step = np.diff(sol.t)
     nodes = t_old[:, None] + step[:, None] * _C
-    u = body._gradient_batch(_dense_values(sol, nodes.ravel()).T).reshape(step.size, _NODES, k)
+    u = body._gradient(_dense_values(sol, nodes.ravel()).T).reshape(step.size, _NODES, k)
     x_nodes = (_step_starts(step[:, None] * (_W @ u))[:, None, :]
                + step[:, None, None] * (_NODE_WEIGHTS @ u))
     rows, cols = AlgebraSpec(k).pair_rows_cols()

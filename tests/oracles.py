@@ -6,10 +6,13 @@ exponentials instead of the ODE solver, explicit null-space formulas instead
 of the SVD kernel, polygon areas instead of the lifted coordinates, one
 solve of the full chart equations instead of the step-wise quadrature lift,
 a dense solve with root-finding on the distance to h0 instead of the
-event-driven period search, a dense solve of the flow for the control, and
-a bracket table written out from {h_i, h_j} = h_ij for the Lie-Poisson
-identities.
+event-driven period search, a dense solve of the flow for the control, a
+bracket table written out from {h_i, h_j} = h_ij for the Lie-Poisson
+identities, and the closed forms of the support functions evaluated in
+decimal arithmetic instead of the floating-point row kernels.
 """
+
+import decimal
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,6 +31,44 @@ def fd_gradient(body, h, step=1e-6):
         e[i] = step
         grad[i] = (body.support(h + e) - body.support(h - e)) / (2.0 * step)
     return grad
+
+
+def exact_support(body, h, digits=40):
+    """H(h), grad H(h) and the sizes of their terms, from the closed form in decimal.
+
+    The closed forms are evaluated at ``digits`` significant digits on the
+    exact values of the float inputs and rounded to floats at the end:
+    sqrt(h^T A h) and A h / sqrt(h^T A h) for an ellipsoid,
+    r ||h||_q and r sign(h_i) |h_i|^(q-1) / ||h||_q^(q-1) for an lp ball,
+    <c, h> + sqrt(h^T A h) and c + A h / sqrt(h^T A h) for a translated
+    ellipsoid.  The lp exponent q is the double p / (p - 1), the one the
+    body uses, so a kernel's error is its own rounding, not that of q.
+    The term sizes are |<c, h>| + sqrt(h^T A h) and max |c_i| + max of
+    |A h| / sqrt(h^T A h) for a translated ellipsoid, whose two terms can
+    cancel, and H and max |grad_i| otherwise: the yardsticks for ulp bars.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        dec = decimal.Decimal
+        hd = [dec(float(x)) for x in h]
+        if isinstance(body, LpBall):
+            q = dec(body.p / (body.p - 1.0))
+            r = dec(body.radius)
+            norm = sum(abs(x) ** q for x in hd) ** (1 / q)
+            support = r * norm
+            grad = [(r if x >= 0 else -r) * (abs(x) / norm) ** (q - 1) for x in hd]
+            terms = (support, max(abs(g) for g in grad))
+        else:
+            a = [[dec(float(v)) for v in row] for row in body.shape_matrix]
+            ah = [sum(aij * x for aij, x in zip(row, hd)) for row in a]
+            root = sum(x * y for x, y in zip(hd, ah)).sqrt()
+            c = ([dec(float(v)) for v in body.center] if isinstance(body, TranslatedEllipsoid)
+                 else [dec(0)] * len(hd))
+            ch = sum(ci * x for ci, x in zip(c, hd))
+            support = ch + root
+            grad = [ci + y / root for ci, y in zip(c, ah)]
+            terms = (abs(ch) + root, max(abs(ci) for ci in c) + max(abs(y) for y in ah) / root)
+        return float(support), np.array([float(g) for g in grad]), float(terms[0]), float(terms[1])
 
 
 def brute_force_support(body, h, n_theta=600, n_phi=1200):

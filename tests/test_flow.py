@@ -196,12 +196,12 @@ class TestDetectPeriod:
         assert back.sol is None
 
     def test_bisection_fallback_solves_the_last_step_again(self, monkeypatch):
-        # With g_tol = 0 the event root (|g| ~ 2e-16 there) is not taken as
+        # With _G_TOL = 0 the event root (|g| ~ 2e-16 there) is not taken as
         # it is: the last step of the return leg is solved again, with dense
         # output, and bisected.
+        monkeypatch.setattr(flow, "_G_TOL", 0.0)
         solves = record_solves(monkeypatch)
-        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0,
-                              opts=IntegrationOptions(g_tol=0.0))
+        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
         assert len(solves) == 3
         far, back, step = solves
         assert step.sol is not None
@@ -545,7 +545,7 @@ class TestLanes:
         matrix = random_skew(rng, 3).matrix
         starts = np.array([body.normalize_to_level(random_covector(rng, 3)) for _ in range(6)])
         span = 7.0
-        lanes = flow._Lanes(lambda hs: -body._level_gradient_batch(hs) @ matrix.T,
+        lanes = flow._Lanes(lambda hs: -body._level_gradient(hs) @ matrix.T,
                             starts, span, opts)
         ids, steps, ends = np.arange(len(starts)), np.zeros(len(starts), int), starts.copy()
         while ids.size:
@@ -555,16 +555,37 @@ class TestLanes:
             lanes.keep(~done)
             ids = ids[~done]
         for start, count, end in zip(starts, steps, ends):
-            sol = solve_ivp(lambda t, h: -matrix @ body._level_gradient(h), (0.0, span), start,
+            sol = solve_ivp(lambda t, h: -matrix @ body._level_gradient_at(h), (0.0, span), start,
                             method="DOP853", rtol=opts.rtol, atol=opts.atol)
             assert count == sol.t.size - 1
             np.testing.assert_allclose(end, sol.y[:, -1], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("entry", ["classify_k3", "classify_sweep"])
+def test_both_searches_check_the_horizon_scaled_by_sigma_max(entry):
+    # Both searches run to t_max * sigma_max on the flow of M / sigma_max.
+    # Where that product under- or overflows, both refuse it alike.
+    def run(h0, skew, opts=None):
+        if entry == "classify_k3":
+            return classify_k3(h0, skew, LpBall(p=3.0), opts)
+        return classify_sweep([h0, h0], skew, LpBall(p=3.0), opts)[0]
+
+    m = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.5, (2, 3): 0.3})
+    h0 = [1.0, 0.2, -0.4]
+    for lam, t_max in ((1e300, 1e10), (1e-300, 1e-30)):
+        with pytest.raises(InputError, match="t_max.*sigma_max"):
+            run(h0, SkewMatrix(lam * m.matrix), IntegrationOptions(t_max=t_max))
+    # The default horizon is 100 periods of 2 pi / sigma_max, which is inf in
+    # t for this M, but 200 pi in the scaled time of the search.
+    base, tiny = run(h0, m), run(h0, SkewMatrix(1e-307 * m.matrix))
+    assert tiny.kind == "periodic"
+    assert abs(tiny.period * 1e-307 - base.period) <= 1e-7 * base.period
+
+
 @pytest.mark.parametrize("field,value", [
     ("rtol", -1.0), ("rtol", 1e-16), ("atol", 0.0), ("max_drift", np.inf),
     ("kernel_rel_tol", 1e-20), ("kernel_rel_tol", 2.0), ("parallel_tol", np.nan),
-    ("capture_radius", "wide"), ("g_tol", -1e-12), ("t_max", 0.0),
+    ("capture_radius", "wide"), ("t_max", 0.0), ("rtol", True), ("max_drift", "1e-7"),
 ])
 def test_options_reject_bad_values(field, value):
     with pytest.raises(InputError, match=field):
@@ -572,8 +593,11 @@ def test_options_reject_bad_values(field, value):
 
 
 def test_options_accept_their_edge_values():
-    opts = IntegrationOptions(rtol=100.0 * np.finfo(float).eps, g_tol=0.0, kernel_rel_tol=1e-15)
-    assert opts.t_max is None and opts.g_tol == 0.0
+    opts = IntegrationOptions(rtol=100.0 * np.finfo(float).eps, kernel_rel_tol=1e-15)
+    assert opts.t_max is None and opts.kernel_rel_tol == 1e-15
+    # other real numbers are stored as floats
+    opts = IntegrationOptions(t_max=np.int64(5), capture_radius=np.float32(0.5))
+    assert type(opts.t_max) is float and type(opts.capture_radius) is float
 
 
 _UNIT = st.floats(-1.0, 1.0)
@@ -660,3 +684,13 @@ class TestQuasiPeriodicity:
             with pytest.raises(InputError):
                 quasi_periodicity_check(h0, self.BLOCKS, self.BALL4, t_max=t_max, delta=0.0,
                                         samples=samples)
+
+    def test_samples_must_be_an_integer(self):
+        h0 = np.ones(4)
+        for samples in (2.5, True):
+            with pytest.raises(InputError, match="samples"):
+                quasi_periodicity_check(h0, self.BLOCKS, self.BALL4, t_max=1.0, delta=0.0,
+                                        samples=samples)
+        result = quasi_periodicity_check(h0, self.BLOCKS, self.BALL4, t_max=1.0, delta=0.5,
+                                         samples=np.int64(11))
+        assert 0.5 <= result.time_of_min <= 1.0

@@ -109,6 +109,13 @@ class TestIntegrateHorizontal:
             with pytest.raises(InputError, match="t1"):
                 integrate_horizontal([1.0, 0.0], HEIS, BALL2, t1)
 
+    def test_samples_must_be_a_positive_integer(self):
+        for samples in (2.5, True, 0):
+            with pytest.raises(InputError, match="samples"):
+                integrate_horizontal([1.0, 0.0], HEIS, BALL2, 1.0, samples=samples)
+        res = integrate_horizontal([1.0, 0.0], HEIS, BALL2, 1.0, samples=np.int64(3))
+        assert res.trajectory.t.size == 4
+
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_lift_matches_chart_oracle(k):
