@@ -232,22 +232,29 @@ class LpBall(ControlBody):
         return {"type": self.kind, "p": self.p, "r": self.radius}
 
     def _support(self, hs):
-        # Scale by the max component so powers stay in [0, 1]; exact for the
-        # dual-norm formula by homogeneity.
+        # Divided by the max component (H is homogeneous), w^q stays in [0, 1].
         a = np.abs(hs)
         m = a.max(axis=1)
         w = a / m[:, None]
         return self.radius * m * (w**self.q).sum(axis=1) ** (1.0 / self.q)
 
     def _gradient(self, hs):
-        # Scale exactly by a power of two, to max w_i in [1/2, 1): dividing by
-        # the max component would round w, and the power q - 1 (100 at
-        # p = 1.01) would multiply that rounding.
+        # Scale exactly by a power of two, to max w_i in [1/2, 1): dividing by the
+        # max component would round w, and q - 1 (100 at p = 1.01) would multiply
+        # that.  For q > 512, where w^q may underflow, t = w / max w gives t^q as
+        # exp(q log1p(t - 1)): |h_i| - max |h| is exact for t >= 1/2.
         q = self.q
         a = np.abs(hs)
-        w = np.ldexp(a, -np.frexp(a.max(axis=1, keepdims=True))[1])
-        s = (w**q).sum(axis=1, keepdims=True)
-        return self.radius * np.sign(hs) * w ** (q - 1.0) / s ** ((q - 1.0) / q)
+        m = a.max(axis=1, keepdims=True)
+        if q <= 512.0:
+            w = np.ldexp(a, -np.frexp(m)[1])
+            wq, wq1 = w**q, w ** (q - 1.0)
+        else:
+            with np.errstate(divide="ignore"):
+                log_t = np.log1p((a - m) / m)
+            wq, wq1 = np.exp(q * log_t), np.exp((q - 1.0) * log_t)
+        s = wq.sum(axis=1, keepdims=True)
+        return self.radius * np.sign(hs) * wq1 / s ** ((q - 1.0) / q)
 
     def _level_gradient(self, hs):
         # grad(H^q / q) = r sign(h_i) (r |h_i|)^(q-1): no norm.  As r |h_i| <= H,

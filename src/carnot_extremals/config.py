@@ -70,7 +70,10 @@ def _as_int(doc, field, default=None, minimum=None):
 def _as_number(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        value = np.inf
     if not np.isfinite(value):
         _fail(field, "must be finite")
     return value
@@ -144,11 +147,8 @@ def _parse_tolerances(doc) -> IntegrationOptions:
     extra = set(raw) - _TOLERANCE_KEYS
     if extra:
         _fail("tolerances", f"unknown keys {sorted(extra)}; known: {sorted(_TOLERANCE_KEYS)}")
-    overrides = {name: None if name == "t_max" and value is None
-                 else _as_number(value, f"tolerances.{name}")
-                 for name, value in raw.items()}
     try:
-        return IntegrationOptions(**overrides)
+        return IntegrationOptions(**raw)
     except InputError as err:
         # IntegrationOptions names the offending field first.
         name, _, message = str(err).partition(" ")

@@ -266,6 +266,21 @@ def test_batch_kernels_match_scalar_forms(k, scale):
                 assert not np.signbit(g_row[h == 0.0]).any()
                 assert not np.signbit(lg[h == 0.0]).any()
                 assert not np.signbit(l_row[h == 0.0]).any()
+    # At p = 1.0005 (q = 2001) w^q underflows for every w below 0.7, so a norm
+    # of rows scaled to max |w_i| in [1/2, 1) can vanish; with radius 1.9 the
+    # level set has max |h_i| near 0.53.  The near-tied rows, second component
+    # within 0.3 % of the first, are where q - 1 multiplies any rounding of w.
+    near = rng.standard_normal((20, k)) * scale
+    near[:, 1] = -near[:, 0] * (1.0 + rng.uniform(-3e-3, 3e-3, 20))
+    rows = np.vstack([np.eye(k)[:1] * scale, hs, near])
+    for radius in (1.0, 1.9):
+        body = LpBall(p=1.0005, radius=radius)
+        grad = body._gradient(rows)
+        for h, s_row, g_row in zip(rows, body._support(rows), grad):
+            s, g, s_scale, g_scale = exact_support(body, h)
+            assert abs(s_row - s) <= 4 * ULP * s_scale, radius
+            assert np.abs(g_row - g).max() <= 4 * ULP * g_scale, radius
+        assert not np.signbit(grad[rows == 0.0]).any()
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])

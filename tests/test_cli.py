@@ -62,6 +62,15 @@ class TestConfigParsing:
         with pytest.raises(InputError, match=needle):
             parse_config(doc)
 
+    @pytest.mark.parametrize("field", ["t1", "tolerances.rtol", "body.p"])
+    def test_integers_beyond_the_double_range_are_named(self, field):
+        # float() of such a JSON integer raises OverflowError, not InputError.
+        doc = dict(BALL3_CFG, body={"type": "lp_ball", "p": 3.0}, tolerances={})
+        section, _, key = field.rpartition(".")
+        (doc[section] if section else doc)[key] = 10**400
+        with pytest.raises(InputError, match=field):
+            parse_config(doc)
+
     def test_body_dimension_cross_check(self):
         doc = dict(BALL3_CFG, body={"type": "ellipsoid", "A": [[1, 0], [0, 1]]})
         with pytest.raises(InputError):
