@@ -247,13 +247,12 @@ class LpBall(ControlBody):
         a = np.abs(hs)
         m = a.max(axis=1, keepdims=True)
         if q <= 512.0:
-            w = np.ldexp(a, -np.frexp(m)[1])
-            wq, wq1 = w**q, w ** (q - 1.0)
+            w = np.ldexp(a, -np.frexp(m)[1], out=a)
+            s, wq1 = (w**q).sum(axis=1, keepdims=True), w ** (q - 1.0)
         else:
             with np.errstate(divide="ignore"):
                 log_t = np.log1p((a - m) / m)
-            wq, wq1 = np.exp(q * log_t), np.exp((q - 1.0) * log_t)
-        s = wq.sum(axis=1, keepdims=True)
+            s, wq1 = np.exp(q * log_t).sum(axis=1, keepdims=True), np.exp((q - 1.0) * log_t)
         return self.radius * np.sign(hs) * wq1 / s ** ((q - 1.0) / q)
 
     def _level_gradient(self, hs):
