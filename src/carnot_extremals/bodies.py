@@ -10,6 +10,7 @@ ellipsoids, lp balls with 1 < p < inf, and translated ellipsoids.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -22,6 +23,11 @@ from .errors import AbnormalCovectorError, InputError
 # H = 1 legitimate states are bounded away from the origin, so the guard only
 # fires on genuinely degenerate input.
 ZERO_GUARD = 1e-300
+
+# The lp level-set field clamps r |h_i| at 2, or lower where q - 1 exceeds
+# this, so that the clamp raised to q - 1 stays at most 2^_CLAMP_BITS.
+_CLAMP_BITS = 128.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -255,20 +261,28 @@ class LpBall(ControlBody):
             s, wq1 = np.exp(q * log_t).sum(axis=1, keepdims=True), np.exp((q - 1.0) * log_t)
         return self.radius * np.sign(hs) * wq1 / s ** ((q - 1.0) / q)
 
+    @functools.cached_property
+    def _power(self) -> tuple[float, float]:
+        """(q - 1, the clamp of r |h_i|) for the level-set field."""
+        e = self.q - 1.0
+        return e, 2.0 ** min(1.0, _CLAMP_BITS / e)
+
     def _level_gradient(self, hs):
         # grad(H^q / q) = r sign(h_i) (r |h_i|)^(q-1): no norm.  As r |h_i| <= H,
-        # the clamp at 2 acts only where H > 2, off the level set, where a
-        # rejected trial stage at p near 1 would otherwise overflow.
+        # the clamp acts only where H exceeds it, off the level set, where a
+        # rejected trial stage at p near 1 would otherwise overflow; it bounds
+        # the field there by r 2^_CLAMP_BITS for every q.
         r = self.radius
-        return np.where(hs >= 0.0, r, -r) * np.minimum(r * np.abs(hs), 2.0) ** (self.q - 1.0)
+        e, clamp = self._power
+        return np.where(hs >= 0.0, r, -r) * np.minimum(r * np.abs(hs), clamp) ** e
 
     def _level_gradient_at(self, h):
         # _level_gradient on Python floats: for the few components of one
         # covector, NumPy's per-call overhead would cost more than the
         # arithmetic.  Components at zero give +0.0, as in the rows.
         r = self.radius
-        e = self.q - 1.0
-        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), 2.0) ** e
+        e, clamp = self._power
+        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), clamp) ** e
                          for v in h.tolist()])
 
 
@@ -319,6 +333,16 @@ class TranslatedEllipsoid(ControlBody):
     def _gradient(self, hs):
         _, aw, d, _ = _quadratic_rows(self.shape_matrix, hs)
         return self.center + aw / np.sqrt(d)[:, None]
+
+    def _level_gradient(self, hs):
+        # grad H itself (s = 1), bit for bit as _gradient gives it: scaling by a
+        # power of two changes no bit while h^T A h stays in the normal range,
+        # so only rows outside it need _gradient's rescaling.
+        ah = hs @ self.shape_matrix.T
+        d = np.einsum("ij,ij->i", hs, ah)
+        if not (_TINY <= d.min(initial=np.inf) and d.max(initial=0.0) < np.inf):
+            return self._gradient(hs)
+        return self.center + ah / np.sqrt(d)[:, None]
 
     def _level_gradient_at(self, h):
         # Not rescaled like the rows: the solver only evaluates it near H = 1.

@@ -171,11 +171,14 @@ def cmd_classify(config: RunConfig) -> tuple[dict, int]:
 
     The input size picks the first-return search.  A single h0, or a sweep
     of one, runs classify_k3 and its search on SciPy's solve_ivp.  A sweep
-    of two or more covectors runs classify_sweep, which moves them all
-    through one lane-batched DOP853 search; its periods agree with
-    single-h0 runs to about 1e-10 relative, not bit for bit, and its
-    warnings and reasons are the same.  Both reject other k with
-    UnsupportedRankError before any work.
+    of two or more covectors runs classify_sweep, which cuts every orbit
+    into arcs and steps all arcs of all covectors as the lanes of one
+    DOP853 integration.  Its return_residual is the largest miss of an
+    arc's end from the next arc's start (||h(T) - h0|| for a start near the
+    constant branch, searched as one arc); its periods agree with single-h0
+    runs to about 1e-10 relative, not bit for bit, and its warnings and
+    reasons are the same.  Both reject other k with UnsupportedRankError
+    before any work.
     """
     report = {"command": "classify", "k": config.k, "body": config.body.to_config(),
               "skew": _skew_map(config), "seed": config.seed}

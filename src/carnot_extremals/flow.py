@@ -43,6 +43,8 @@ PERIODIC = "periodic"
 UNCLASSIFIED = "unclassified"
 
 _BISECT_MAX_ITER = 200
+# Batched Newton solves stop by here; bisecting [0, 1] down to 4 ulp takes 51.
+_NEWTON_MAX_ITER = 60
 _EPS = np.finfo(float).eps
 # |g| at or below this accepts a return candidate of detect_period as it is.
 _G_TOL = 1e-12
@@ -388,6 +390,19 @@ _STAGE_ROWS = [DOP853.A[s, :s] for s in range(1, _STAGES)]
 _EXTRA_ROWS = [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
+# Arcs per orbit of the sectioned search (see _first_returns), and the
+# cosines and sines of its rays' angles.  6, 12, 16 and 24 arcs ran 8-covector
+# sweeps of ellipsoids and translated ellipsoids within the noise of 8.
+_ARCS = 8
+_COS, _SIN = (f(2.0 * np.pi * np.arange(_ARCS) / _ARCS) for f in (np.cos, np.sin))
+# A start with parallel residual r below this is searched as one arc.  An arc
+# start solves H(o + rho e) = 1 with a slope of about r |grad H| on an orbit
+# of size about r, so its relative error grows as eps / r^2, while one arc
+# from h0 places no point.  Against 2 pi / omega on ellipsoids, 8 arcs erred
+# by 5.8e-13, 1.5e-11 and 5.1e-10 at r = 1.5e-2, 1.5e-3 and 1.5e-4, one arc
+# by 4.1e-13, 5.9e-12 and 6.0e-11: the two meet near r = 1e-2.
+_ONE_ARC_BELOW = 1e-2
+
 
 class _Lanes:
     """DOP853 on many initial states at once, each lane with its own step.
@@ -517,97 +532,198 @@ class _Lanes:
 
 def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
                    opts: IntegrationOptions) -> list[PeriodResult | None]:
-    """``detect_period`` for dh/dt = -matrix grad(H^s / s) from every start at once.
+    """First returns of dh/dt = -matrix grad(H^s / s) from every start, as arcs.
 
-    All starts move forward together as the lanes of one DOP853 integration
-    (see _Lanes), and a lane leaves it once it finishes.  Each lane tracks
-    g(t) = <h(t) - h0, v> with v its unit initial velocity, tested by sign
-    at the end of every accepted step: first for the fall through zero on
-    the far side of the orbit, then for the rise back through zero.  The
-    lane does not restart at the fall, so its steps differ from
-    ``detect_period``'s.  Only a step that brackets a rise computes the
-    extra dense-output stages; the root of g on that step's interpolant is
-    the candidate, accepted as in ``detect_period`` (within
-    opts.capture_radius of h0, velocity aligned with the initial one) or
-    else followed by a new fall and rise.  A lane that reaches t_max
-    without a return gives None.  One debug log line, a JSON object, gives
-    the work counters.
+    ``matrix`` is a 3 x 3 skew matrix, so an orbit is the closed convex curve
+    {H = 1} in the plane through its start normal to the axis a of the
+    matrix, and it turns monotonically about any interior point o.  Rays from
+    o at the angles 2 pi j / _ARCS cut it into arcs: o is the midpoint of the
+    chord from h0 along the in-plane inward normal, the ray j = 0 passes
+    through p_0 = h0, and the arc starts p_j are solved on H = 1 by batched
+    Newton steps (see _level_crossings).  Every arc of every covector is one
+    lane of a single DOP853 integration (see _Lanes) from p_j until
+    g_j = <h - o, n_{j+1}>, with n_{j+1} the in-plane normal of ray j + 1
+    turned along the flow, rises through zero: g_j < 0 at p_j, and its first
+    zero is the crossing of ray j + 1, so there is nothing to reject.  Only
+    that step computes dense output; its interpolant is kept and all crossing
+    roots are found at the end by one batched Newton solve (see _roots).
+    The period is the sum of the arc times and the residual the largest
+    landing miss ||h_j(t_j) - p_{j+1}||, where the last arc lands on p_0.
+
+    Placing points on H = 1 is ill-conditioned near the constant branch, so a
+    start whose parallel residual is below _ONE_ARC_BELOW is one arc from
+    h0 around the whole orbit, with o = h0 and n the unit velocity direction:
+    g falls through zero on the far side and its next rise is the return.  A
+    covector with an arc still open at t_max, or with arc times summing past
+    t_max, gives None.  One debug log line, a JSON object, gives the work
+    counters.
     """
+    h0 = np.array(starts, dtype=float)
+    axis = np.array([matrix[1, 2], -matrix[0, 2], matrix[0, 1]])
+    axis /= np.linalg.norm(axis)
+    grad = body._gradient(h0)
+    outward = grad - np.outer(grad @ axis, axis)
+    size = np.linalg.norm(outward, axis=1)
+    if not size.all():
+        raise InputError("initial velocity vanishes; the trajectory is constant")
+    e1 = outward / size[:, None]
+    e2 = np.cross(axis, e1)             # the direction of -matrix grad H(h0)
+    one = size / np.linalg.norm(grad, axis=1) < _ONE_ARC_BELOW
+    cut = np.flatnonzero(~one)
+
+    # The chord from h0 along -e1 has its midpoint o inside the orbit, and
+    # h0 - o runs along e1, the ray at angle 0, so chord / 2 is the radius
+    # there and the guess for the other rays.
+    chord, chord_iters = _level_crossings(body, h0[cut], -e1[cut])
+    origin = h0[cut] - 0.5 * chord[:, None] * e1[cut]
+    radial = _COS[:, None, None] * e1[cut] + _SIN[:, None, None] * e2[cut]   # (_ARCS, n, 3)
+    rho, ray_iters = _level_crossings(body, np.tile(origin, (_ARCS - 1, 1)),
+                                      radial[1:].reshape(-1, 3), np.tile(0.5 * chord, _ARCS - 1))
+    rho = rho.reshape(_ARCS - 1, len(cut), 1)
+    points = np.concatenate([h0[cut][None], origin + rho * radial[1:]])
+    normal = -_SIN[:, None, None] * e1[cut] + _COS[:, None, None] * e2[cut]
+    nxt = np.roll(np.arange(_ARCS), -1)
+
+    lone = np.flatnonzero(one)
+    owner = np.concatenate([np.tile(cut, _ARCS), lone])
+    y0 = np.concatenate([points.reshape(-1, 3), h0[lone]])
+    origin = np.concatenate([np.tile(origin, (_ARCS, 1)), h0[lone]])
+    normal = np.concatenate([normal[nxt].reshape(-1, 3), e2[lone]])
+    target = np.concatenate([points[nxt].reshape(-1, 3), h0[lone]])
+    armed = np.arange(len(y0)) < _ARCS * len(cut)   # one-arc lanes arm at the fall
+
     neg_t = -matrix.T
-    grad = body._level_gradient
+    grad_level = body._level_gradient
 
     def fun(hs):
-        return grad(hs) @ neg_t
+        return grad_level(hs) @ neg_t
 
-    h0 = np.array(starts, dtype=float)
-    lanes = _Lanes(fun, h0, t_max, opts)
-    speed = np.linalg.norm(lanes.f, axis=1)
-    if not speed.all():
-        raise InputError("initial velocity vanishes; the trajectory is constant")
-    hdot0 = lanes.f
-    vhat = hdot0 / speed[:, None]
-    found: list[PeriodResult | None] = [None] * len(h0)
-    ids = np.arange(len(h0))
-    g = np.zeros(len(h0))
-    falling = np.ones(len(h0), dtype=bool)
-    candidates = 0
+    lanes = _Lanes(fun, y0, t_max, opts)
+    ids = np.arange(len(y0))
+    g = np.einsum("ij,ij->i", y0 - origin, normal)
+    hits = []
     while ids.size:
         ok = lanes.step()
-        g_new = np.where(ok, np.einsum("ij,ij->i", lanes.y - h0, vhat), g)
-        rose = ok & ~falling & (g <= 0.0) & (g_new >= 0.0)
-        falling = np.where(falling, ~(ok & (g >= 0.0) & (g_new <= 0.0)), rose)
+        g_new = np.where(ok, np.einsum("ij,ij->i", lanes.y - origin[ids], normal[ids]), g)
+        cross = ok & armed[ids] & (g_new >= 0.0)
+        armed[ids] |= ok & (g_new < 0.0)
+        if cross.any():
+            lane = np.flatnonzero(cross)
+            t_old, step, y_old, rows = lanes.interpolant(lane)
+            hits.append((ids[lane], g[lane], g_new[lane], t_old, step, y_old,
+                         rows.transpose(1, 0, 2)))
         g = g_new
-        done = lanes.t >= t_max
-        if rose.any():
-            lane = np.flatnonzero(rose)
-            candidates += lane.size
-            t_old, h, y_old, rows = lanes.interpolant(lane)
-            for j, t_a, step, y_a, poly in zip(lane, t_old, h, y_old, rows.transpose(1, 0, 2)):
-                t_star, h_star = _interpolant_root(poly, t_a, step, y_a, h0[j], vhat[j])
-                residual = float(np.linalg.norm(h_star - h0[j]))
-                if (residual <= opts.capture_radius
-                        and float(lanes.rhs(h_star[None])[0] @ hdot0[j]) > 0.0):
-                    found[ids[j]] = PeriodResult(period=t_star, residual=residual)
-                    done[j] = True
+        done = cross | (lanes.t >= t_max)
         if done.any():
-            stay = ~done
-            lanes.keep(stay)
-            ids, h0, hdot0, vhat, g, falling = (a[stay] for a in (ids, h0, hdot0, vhat, g, falling))
-    logger.debug(json.dumps({"event": "batched_first_return", "lanes": len(found),
+            lanes.keep(~done)
+            ids, g = ids[~done], g[~done]
+
+    found: list[PeriodResult | None] = [None] * len(h0)
+    root_iters = 0
+    if hits:
+        lane, g_a, g_b, t_old, step, y_old, rows = map(np.concatenate, zip(*hits))
+        x, root_iters = _roots(rows, y_old, origin[lane], normal[lane], g_a, g_b)
+        times = t_old + x * step
+        miss = np.linalg.norm(_dense_rows(rows, x)[0] + y_old - target[lane], axis=1)
+        arcs = np.bincount(owner[lane], minlength=len(h0))
+        period = np.bincount(owner[lane], weights=times, minlength=len(h0))
+        worst = np.zeros(len(h0))
+        np.maximum.at(worst, owner[lane], miss)
+        for i in np.flatnonzero((arcs == np.where(one, 1, _ARCS)) & (period <= t_max)):
+            found[i] = PeriodResult(period=float(period[i]), residual=float(worst[i]))
+    logger.debug(json.dumps({"event": "batched_first_return", "covectors": len(found),
+                             "arcs": len(y0), "one_arc": len(lone),
                              "accepted_steps": lanes.accepted,
                              "rejected_steps": lanes.rejected, "rhs_rows": lanes.rhs_rows,
-                             "candidates": candidates,
+                             "chord_newton": chord_iters, "ray_newton": ray_iters,
+                             "root_newton": root_iters,
                              "returns": sum(r is not None for r in found)}))
     return found
 
 
-def _interpolant_root(rows, t_old, h, y_old, h0, vhat) -> tuple[float, np.ndarray]:
-    """Root of g(t) = <h(t) - h0, vhat> on one step's interpolant, and h there.
+def _level_crossings(body: ControlBody, base: np.ndarray, dirs: np.ndarray, guess=None):
+    """The largest rho with H(base + rho dir) = 1 on every row, and the Newton iterations.
 
-    ``rows`` are the step's 7 polynomial rows, evaluated in the nested form
-    of SciPy's ``Dop853DenseOutput`` (as in _dense_values).  g rises through
-    zero on the step.  The root is located to a few ulp, as SciPy locates
-    event roots; should rounding of the interpolant leave no sign change,
-    the end with the smaller |g| is taken.
+    f(rho) = H(base + rho dir) - 1 is convex, so Newton steps from a rho with
+    f >= 0 fall monotonically onto the largest root; a row stops once its
+    step is within a few ulp of rho or f is no longer positive.  Where f is
+    negative at the guess and rising, one Newton step from it gives such a
+    rho; otherwise, by subadditivity of H, rho = (1 + H(-base)) / H(dir)
+    does.  A base may be the origin (a symmetric orbit's chord midpoint),
+    where H = 0.
     """
-    def h_at(t):
-        x = (t - t_old) / h
-        y = np.zeros_like(y_old)
-        for i, row in enumerate(rows[::-1]):
-            y += row
-            y *= x if i % 2 == 0 else 1 - x
-        return y + y_old
+    back = np.zeros(len(base))
+    moved = base.any(axis=1)
+    back[moved] = body._support(-base[moved])
+    rho = (1.0 + back) / body._support(dirs)
+    if guess is not None:
+        pts = base + guess[:, None] * dirs
+        f = body._support(pts) - 1.0
+        slope = np.einsum("ij,ij->i", body._gradient(pts), dirs)
+        rising = (f < 0.0) & (slope > 0.0)
+        rho = np.where(f >= 0.0, guess, rho)
+        rho[rising] = guess[rising] - f[rising] / slope[rising]
+    todo = np.arange(len(rho))
+    iterations = 0
+    while todo.size and iterations < _NEWTON_MAX_ITER:
+        iterations += 1
+        pts = base[todo] + rho[todo, None] * dirs[todo]
+        f = body._support(pts) - 1.0
+        slope = np.einsum("ij,ij->i", body._gradient(pts), dirs[todo])
+        step = f / slope
+        go = step > 4.0 * _EPS * rho[todo]
+        rho[todo[go]] -= step[go]
+        todo = todo[go]
+    return rho, iterations
 
-    def g(t):
-        return float(vhat @ (h_at(t) - h0))
 
-    a, b = t_old, t_old + h
-    ga, gb = g(a), g(b)
-    if ga < 0.0 < gb:
-        t_star = brentq(g, a, b, xtol=4.0 * _EPS, rtol=4.0 * _EPS)
-    else:
-        t_star = a if abs(ga) < abs(gb) else b
-    return float(t_star), h_at(t_star)
+def _dense_rows(rows: np.ndarray, x: np.ndarray):
+    """The interpolant increment h(x) - y_old and its derivative in x, per lane.
+
+    ``rows`` (m, 7, k) are the DOP853 polynomial rows of m steps, evaluated
+    in the nested form of SciPy's ``Dop853DenseOutput`` (as in _dense_values)
+    at x in [0, 1], one x per step.
+    """
+    x = x[:, None]
+    y = np.zeros((rows.shape[0], rows.shape[2]))
+    dy = np.zeros_like(y)
+    for i in range(rows.shape[1]):
+        y += rows[:, -1 - i]
+        if i % 2 == 0:
+            dy = dy * x + y
+            y *= x
+        else:
+            dy = dy * (1.0 - x) - y
+            y *= 1.0 - x
+    return y, dy
+
+
+def _roots(rows, y_old, origin, normal, g_a, g_b):
+    """Root x in [0, 1] of g(x) = <h(x) - origin, normal> on each step's interpolant.
+
+    g_a < 0 <= g_b are g at the step's ends.  Newton steps, from the secant
+    root, that leave the bracket kept by the sign of g are replaced by
+    bisection.  A lane stops when its Newton step is within a few ulp of x,
+    or |g| is within a few ulp of |y_old|, the rounding of h(x) - origin.
+    Returns x and the iterations of the batched solve.
+    """
+    lo, hi = np.zeros(len(g_a)), np.ones(len(g_a))
+    floor = 4.0 * _EPS * np.abs(y_old).max(axis=1)
+    x = g_a / (g_a - g_b)
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        y, dy = _dense_rows(rows, x)
+        g = np.einsum("ij,ij->i", y + y_old - origin, normal)
+        slope = np.einsum("ij,ij->i", dy, normal)
+        lo, hi = np.where(g < 0.0, x, lo), np.where(g < 0.0, hi, x)
+        step = np.divide(g, slope, out=np.full_like(g, np.inf), where=slope > 0.0)
+        new = x - step
+        new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        stop = (np.abs(step) <= 4.0 * _EPS) | (np.abs(g) <= floor) | (hi - lo <= 4.0 * _EPS)
+        new = np.where(stop, x, new)
+        if (new == x).all():
+            break
+        x = new
+    return x, iterations
 
 
 def _detect_each(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
@@ -649,12 +765,18 @@ def classify_sweep(h0s, skew: SkewMatrix, body: ControlBody,
     """``classify_k3`` for every covector of h0s, with one batched search.
 
     The checks, the parallel test, the warnings and the unclassified reasons
-    are those of ``classify_k3``; the nonconstant covectors then move
-    together through one lane-batched DOP853 first-return search
-    (``_first_returns``), which pays the Python cost of a step once for all
-    of them.  That search steps differently from ``detect_period``, so
-    periods agree with ``classify_k3``'s to about 1e-10 relative, not bit
-    for bit.
+    are those of ``classify_k3``.  The nonconstant covectors then go through
+    one sectioned search (``_first_returns``): rays from a point inside each
+    orbit cut it into _ARCS arcs, and every arc of every covector is a lane
+    of one DOP853 integration, which pays the Python cost of a step once for
+    all of them.  The period is the sum of the arc times, and the return
+    residual is the largest miss of an arc's end from the next arc's start.
+    A start within _ONE_ARC_BELOW of the constant branch (by its parallel
+    residual) is one arc around its whole orbit, and its residual is
+    ||h(T) - h0|| as in ``classify_k3``.  The search steps differently from
+    ``detect_period``, so periods agree with ``classify_k3``'s to about
+    1e-10 relative, not bit for bit; nearer the constant branch both drift
+    from the exact period by about 1e-14 / residual.
     """
     return _classify(h0s, skew, body, opts or IntegrationOptions(), _first_returns)
 

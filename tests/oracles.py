@@ -213,13 +213,20 @@ def aligned_covector(body, a):
     """Initial covector with grad H parallel to a, rescaled to H = 1.
 
     For an ellipsoid grad H is parallel to a along A^-1 a; for an lp ball the
-    dual-exponent power map inverts the gradient direction.
+    dual-exponent power map inverts the gradient direction.  For a translated
+    ellipsoid grad H = c + A h / sqrt(h^T A h) equals lam a at
+    h = A^-1 (lam a - c), with lam > 0 solving (lam a - c)^T A^-1 (lam a - c) = 1.
     """
     a = np.asarray(a, dtype=float)
     if isinstance(body, Ellipsoid):
         h = np.linalg.solve(body.shape_matrix, a)
     elif isinstance(body, LpBall):
         h = np.sign(a) * np.abs(a) ** (body.p - 1.0)
+    elif isinstance(body, TranslatedEllipsoid):
+        inv, c = np.linalg.inv(body.shape_matrix), body.center
+        aa, ac, cc = a @ inv @ a, a @ inv @ c, c @ inv @ c
+        lam = (ac + np.sqrt(ac * ac - aa * (cc - 1.0))) / aa
+        h = inv @ (lam * a - c)
     else:
         raise TypeError(f"no closed-form aligned covector for {type(body).__name__}")
     return h / body.support(h)

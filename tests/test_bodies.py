@@ -365,13 +365,18 @@ def test_level_gradient_is_parallel_to_the_gradient_off_the_level_set(k):
 @pytest.mark.parametrize("size", [3.0, 1e3, 1e4, 1e300])
 def test_lp_level_gradient_is_clamped_far_off_the_level_set(size):
     # Rejected trial stages of the solver can sample covectors far from
-    # H = 1; at p = 1.01 the power (r |h_i|)^100 would overflow there.
-    body = LpBall(p=1.01, radius=0.7)
-    h = np.array([size, -0.5 * size, 0.2]) / body.radius
-    level = body._level_gradient_at(h)
-    assert np.all(np.isfinite(level))
-    assert np.all(np.abs(level) <= body.radius * 2.0 ** (body.q - 1.0))
-    assert np.array_equal(np.sign(level), np.sign(h))
+    # H = 1; at p = 1.01 the power (r |h_i|)^100 would overflow there, and
+    # for q - 1 above 1024 even 2^(q - 1) would.  The clamp keeps both forms
+    # of the field finite and within r 2^128, up to the rounding of the
+    # clamp raised to q - 1; (r |h_3|)^(q - 1) = 0.2^(q - 1) may underflow.
+    for p in (1.01, 1.0005, 1.0 + 1e-12):
+        body = LpBall(p=p, radius=0.7)
+        h = np.array([size, -0.5 * size, 0.2]) / body.radius
+        bound = body.radius * 2.0 ** min(body.q - 1.0, 129.0)
+        for level in (body._level_gradient_at(h), body._level_gradient(h[None])[0]):
+            assert np.all(np.isfinite(level)), p
+            assert np.all(np.abs(level) <= bound), p
+            assert np.array_equal(np.sign(level[:2]), np.sign(h[:2])) and level[2] >= 0.0, p
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

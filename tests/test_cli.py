@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from carnot_extremals import InputError, parse_config
+from carnot_extremals import InputError, classify_k3, parse_config
 from carnot_extremals.cli import main
 
 BALL3_CFG = {
@@ -285,6 +285,37 @@ class TestClassifyCommand:
             assert result["return_residual"] <= 1e-8
 
 
+# p = 1.0005 (q = 2001): off the level set the lp field must stay finite.
+NEAR_ONE_CFG = dict(BALL3_CFG, body={"type": "lp_ball", "p": 1.0005, "r": 1.9},
+                    M={"1,2": 1.0, "2,3": 0.4}, h0=[1.0, 0.3, -0.2])
+
+
+class TestLpNearOne:
+    def test_single_classify(self, tmp_path):
+        code, out = run(tmp_path, "classify", NEAR_ONE_CFG)
+        assert code == 0
+        report = json.loads((out / "classify.json").read_text())
+        assert report["class"] == "periodic" and report["return_residual"] <= 1e-8
+
+    def test_sweep_classify(self, tmp_path):
+        sweep = [[1.0, 0.3, -0.2], [0.2, 1.0, 0.5]]
+        code, out = run(tmp_path, "classify", dict(NEAR_ONE_CFG, sweep=sweep))
+        assert code == 0
+        results = json.loads((out / "classify.json").read_text())["results"]
+        assert [r["class"] for r in results] == ["periodic", "periodic"]
+        config = parse_config(NEAR_ONE_CFG)
+        single = classify_k3(sweep[0], config.skew, config.body)
+        assert abs(results[0]["period"] - single.period) <= 1e-10 * single.period
+        assert max(r["return_residual"] for r in results) <= 1e-8
+
+    def test_integrate(self, tmp_path):
+        code, out = run(tmp_path, "integrate", NEAR_ONE_CFG)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rows_written"] == NEAR_ONE_CFG["samples"] + 1
+        assert summary["max_level_drift"] <= 1e-8
+
+
 class TestGradcheckCommand:
     def test_ball_body_passes_tightly(self, tmp_path):
         doc = dict(BALL3_CFG, gradcheck={"points": 200})
@@ -381,8 +412,13 @@ class TestEntryPoints:
         lines = [line for line in proc.stderr.splitlines() if "{" in line]
         assert len(lines) == 1
         record = json.loads(lines[0][lines[0].index("{"):])
-        assert record["lanes"] == 2 and record["returns"] == 2
-        assert record["accepted_steps"] > 0 and record["rhs_rows"] > 0
+        assert record["covectors"] == 2 and record["returns"] == 2
+        assert record["arcs"] > record["one_arc"] == 0
+        assert min(record["chord_newton"], record["ray_newton"], record["root_newton"]) >= 1
+        # 12 right-hand sides per step try, 5 per arc for its initial step
+        # and the dense output of its crossing step
+        tries = record["accepted_steps"] + record["rejected_steps"]
+        assert record["rhs_rows"] == 12 * tries + 5 * record["arcs"]
 
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         from carnot_extremals import cli

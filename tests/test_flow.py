@@ -522,16 +522,76 @@ class TestClassifySweep:
             classify_sweep([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], ROT12, BALL3)
 
     def test_debug_log_line_carries_the_work_counters(self, caplog):
+        # [0, 0, 1] is constant, and [0, 0.005, 1] has parallel residual 0.005,
+        # so it is searched as one arc.
         with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
-            classify_sweep([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]], ROT12, BALL3)
-        lines = [json.loads(r.getMessage()) for r in caplog.records
-                 if r.getMessage().startswith("{")]
-        assert len(lines) == 1
-        line = lines[0]
-        assert line["lanes"] == 2 and line["returns"] == 2 and line["candidates"] == 2
-        # 12 right-hand sides per step try, 3 per candidate's dense output
+            outcomes = classify_sweep([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0],
+                                       [0.0, 0.005, 1.0]], ROT12, BALL3)
+        assert [o.kind for o in outcomes] == ["periodic", "periodic", "constant", "periodic"]
+        line = debug_line(caplog)
+        assert line["covectors"] == 3 and line["returns"] == 3
+        assert line["arcs"] == 2 * flow._ARCS + 1 and line["one_arc"] == 1
+        assert min(line["chord_newton"], line["ray_newton"], line["root_newton"]) >= 1
+        # 12 right-hand sides per step try, and per arc 2 for its initial step
+        # and 3 for the dense output of its crossing step
         tries = line["accepted_steps"] + line["rejected_steps"]
-        assert line["rhs_rows"] >= 12 * tries + 3 * line["candidates"]
+        assert line["rhs_rows"] == 12 * tries + 5 * line["arcs"]
+
+    def test_sweep_of_one_arc_starts_only(self, caplog):
+        # Both starts are within flow._ONE_ARC_BELOW of the constant branch of
+        # the unit ball, where every orbit has period 2 pi.
+        with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
+            outcomes = classify_sweep([[0.0, 0.001, 1.0], [0.002, 0.0, 1.0]], ROT12, BALL3)
+        line = debug_line(caplog)
+        assert line["arcs"] == line["one_arc"] == line["returns"] == 2
+        for outcome in outcomes:
+            bar = 1e-13 / outcome.parallel_residual
+            assert abs(outcome.period - 2.0 * np.pi) <= bar * 2.0 * np.pi
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_periods_from_far_off_to_near_the_constant_branch(self, family, caplog):
+        # One sweep of starts with parallel residuals from about 1e-1 down to
+        # 1e-8: those below flow._ONE_ARC_BELOW are one arc each, the others
+        # are cut into flow._ARCS arcs.  Near the constant branch the period
+        # is ill-conditioned: the errors of both searches against 2 pi / omega
+        # grow as one over the residual, to about 1e-14 / residual.  So each
+        # period matches classify_k3's within 1e-10, 1e-13 / residual or the
+        # single's own error against the oracle, whichever is largest.
+        rng = np.random.default_rng(36)
+        body = random_body(rng, 3, family)
+        m = random_skew(rng, 3)
+        h_eq = aligned_covector(body, so3_kernel_direction(m.matrix))
+        v = rng.standard_normal(3)
+        v -= (v @ h_eq) / (h_eq @ h_eq) * h_eq
+        v /= np.linalg.norm(v)
+        h0s = [body.normalize_to_level(h_eq + eps * v) for eps in 10.0 ** -np.arange(1.0, 9.0)]
+        with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
+            outcomes = classify_sweep(h0s, m, body)
+        residuals = np.array([o.parallel_residual for o in outcomes])
+        assert residuals.max() > 5e-2 and residuals.min() < 1e-7
+        one_arc = int((residuals < flow._ONE_ARC_BELOW).sum())
+        assert 0 < one_arc < len(h0s) and debug_line(caplog)["one_arc"] == one_arc
+        for h0, outcome in zip(h0s, outcomes):
+            single = classify_k3(h0, m, body)
+            assert outcome.kind == single.kind == "periodic"
+            assert outcome.return_residual <= 1e-8
+            if family == "ellipsoid":
+                oracle = ellipsoid_period(m.matrix, body.shape_matrix)
+                bar = max(1e-12, 1e-13 / outcome.parallel_residual)
+                assert abs(outcome.period - oracle) <= bar * oracle
+            else:
+                oracle = first_return(body, m.matrix, h0, single.period)[0]
+            bar = max(1e-10, 1e-13 / outcome.parallel_residual,
+                      abs(single.period - oracle) / oracle)
+            assert abs(outcome.period - single.period) <= bar * single.period
+
+
+def debug_line(caplog) -> dict:
+    """The one JSON debug line of a batched search among the captured records."""
+    lines = [json.loads(r.getMessage()) for r in caplog.records
+             if r.getMessage().startswith("{")]
+    assert len(lines) == 1
+    return lines[0]
 
 
 class TestLanes:
@@ -634,7 +694,7 @@ def test_ellipsoid_period_matches_linear_oracle(eigenvalues, quaternion, entries
 
 
 class TestAlignedConstantBranch:
-    @pytest.mark.parametrize("family", ["ellipsoid", "lp_ball"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_aligned_start_stays_put(self, family):
         rng = np.random.default_rng(15)
         for _ in range(5):
