@@ -54,7 +54,7 @@ class ControlBody(abc.ABC):
     exact first integrals and the flow on that level set is unchanged.
     ``_level_gradient(hs)`` is its row kernel, grad H itself (s = 1) unless
     a family overrides it, and ``_level_gradient_at(h)`` evaluates it at one
-    covector for SciPy's solver, which calls it once per stage.
+    covector for the one-trajectory solver, which calls it once per stage.
     """
 
     kind: ClassVar[str]

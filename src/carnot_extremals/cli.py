@@ -170,7 +170,7 @@ def cmd_classify(config: RunConfig) -> tuple[dict, int]:
     """Constant/periodic classification (k = 3 only).
 
     The input size picks the first-return search.  A single h0, or a sweep
-    of one, runs classify_k3 and its search on SciPy's solve_ivp.  A sweep
+    of one, runs classify_k3 and its search on one DOP853 trajectory.  A sweep
     of two or more covectors runs classify_sweep, which cuts every orbit
     into arcs and steps all arcs of all covectors as the lanes of one
     DOP853 integration.  Its return_residual is the largest miss of an

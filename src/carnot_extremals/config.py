@@ -125,6 +125,7 @@ def _parse_skew(doc, k) -> tuple[SkewMatrix, dict[str, float]]:
         _fail("M", 'must map "i,j" keys to numbers')
     entries = {}
     echo = {}
+    keys = {}
     for key, value in raw.items():
         parts = str(key).split(",")
         if len(parts) != 2:
@@ -135,6 +136,9 @@ def _parse_skew(doc, k) -> tuple[SkewMatrix, dict[str, float]]:
             _fail("M", f'key {key!r} must have the form "i,j" with integer i, j')
         if not (1 <= i < j <= k):
             _fail("M", f"key {key!r} must satisfy 1 <= i < j <= {k}")
+        if (i, j) in keys:
+            _fail("M", f"keys {keys[(i, j)]!r} and {key!r} both name the pair ({i}, {j})")
+        keys[(i, j)] = key
         entries[(i, j)] = _as_number(value, f"M[{key}]")
         echo[f"{i},{j}"] = entries[(i, j)]
     return SkewMatrix.from_entries(k, entries), echo

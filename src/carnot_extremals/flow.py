@@ -22,17 +22,16 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from .algebra import (KERNEL_REL_TOL, CasimirBasis, SkewMatrix, check_kernel_rel_tol,
                       kernel_basis)
 from .bodies import ControlBody
+from .dop853 import _dense_rows, _dense_values, _Lanes, _solve
 from .errors import (
     DriftExceededError,
     HorizonExhaustedError,
     InputError,
-    IntegrationError,
     UnsupportedRankError,
 )
 
@@ -54,8 +53,9 @@ _G_TOL = 1e-12
 class IntegrationOptions:
     """Tolerances and knobs shared by the flow operations.
 
-    The solver is fixed: Dormand-Prince 8(5,3) (SciPy's DOP853), an adaptive
-    embedded Runge-Kutta pair with dense output, run forward in time.  The
+    The solver is fixed: Dormand-Prince 8(5,3) (DOP853), an adaptive
+    embedded Runge-Kutta pair with dense output, run forward in time by the
+    library's own loop, which takes SciPy's DOP853 steps bit for bit.  The
     default tolerances keep invariant drift orders of magnitude under the
     1e-8 monitoring bars on horizons of a few hundred time units, including
     near equilibria and across the mild gradient kinks of lp bodies.
@@ -88,8 +88,8 @@ class IntegrationOptions:
                 raise InputError(f"{field.name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, field.name, number)
         check_kernel_rel_tol(self.kernel_rel_tol)
-        # SciPy's DOP853 raises a smaller rtol to this floor; rejecting it keeps
-        # the single and the batched first-return searches on one problem.
+        # SciPy's DOP853, whose steps the solver repeats, raises a smaller rtol
+        # to this floor; rejecting it keeps every search on one problem.
         if self.rtol < 100.0 * _EPS:
             raise InputError(f"rtol must be >= 100 eps = {100.0 * _EPS:.3g}, got {self.rtol!r}")
 
@@ -172,41 +172,6 @@ def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndar
     return rhs
 
 
-def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, events=None,
-           dense: bool = True):
-    sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853", rtol=opts.rtol, atol=opts.atol,
-                    dense_output=dense, events=events)
-    if not sol.success:
-        raise IntegrationError(f"solver failed near t = {sol.t[-1]:.6g}: {sol.message}")
-    return sol
-
-
-def _dense_values(sol, t) -> np.ndarray:
-    """``sol.sol(t)`` for a 1-D array of times t, shape (n, t.size).
-
-    A DOP853 step keeps its interpolant as polynomial rows ``F`` with
-    ``y_old``, ``t_old`` and the step length ``h`` (SciPy internals).
-    Stacked over the steps, they evaluate all times in one pass with the
-    operations ``OdeSolution`` applies step by step, so the bits are the
-    same.  Each time goes to the step ``OdeSolution`` picks: at a step
-    boundary, the step that ends there.  This takes a forward DOP853 solve,
-    the only kind ``_solve`` makes.
-    """
-    dense = sol.sol
-    steps = dense.interpolants
-    t = np.asarray(t, dtype=float)
-    seg = np.clip(np.searchsorted(dense.ts, t, side=dense.side) - 1, 0, len(steps) - 1)
-    rows = np.stack([s.F for s in steps])
-    x = ((t - np.array([s.t_old for s in steps])[seg])
-         / np.array([s.h for s in steps])[seg])[:, None]
-    y = np.zeros((t.size, rows.shape[2]))
-    for i in range(rows.shape[1]):
-        y += rows[seg, -1 - i]
-        y *= x if i % 2 == 0 else 1 - x
-    y += np.stack([s.y_old for s in steps])[seg]
-    return y.T
-
-
 def _output_grid(h0, skew: SkewMatrix, body: ControlBody, t1: float, samples: int):
     """h0 rescaled to H = 1 and the uniform grid of samples + 1 times on [0, t1]."""
     h0 = body.normalize_to_level(h0)
@@ -275,8 +240,8 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     second one, started there, runs until g rises through zero.  Neither
     keeps dense output: the first is read at its end point, the second at
     the solver's event root and the state there.  That root is the
-    candidate when |g| <= _G_TOL there; otherwise the last step is
-    solved again with dense output and the root refined by bisection on it
+    candidate when |g| <= _G_TOL there; otherwise it is refined by
+    bisection on the interpolant of the event step, which the solve keeps,
     until |g| <= _G_TOL.  The candidate is accepted if it lands within
     opts.capture_radius of h0 with velocity aligned to the initial one;
     otherwise the two stops repeat from the candidate.  So the search
@@ -324,9 +289,8 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
         if back.status != 1:
             break
         a, b = float(back.t[-2]), float(back.t[-1])
-        h_at = _last_step(rhs, back, opts)
-        t_star = _bisect_crossing(lambda t: rises(t, h_at(t)), a, b, _G_TOL)
-        h_star = h_at(t_star)
+        t_star = _bisect_crossing(lambda t: rises(t, back.at(t)), a, b, _G_TOL)
+        h_star = back.at(t_star)
         residual = float(np.linalg.norm(h_star - h0))
         if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
             logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
@@ -335,34 +299,12 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     raise HorizonExhaustedError(f"no first return found within t_max = {t_max:.6g}", t_max=t_max)
 
 
-def _last_step(rhs, leg, opts: IntegrationOptions) -> Callable[[float], np.ndarray]:
-    """h(t) on the last step of ``leg``, a solve stopped by a terminal event.
-
-    At the step end, the event root, this is the solver's state there.  Any
-    other time re-solves the step once, with dense output, from its start.
-    """
-    a, b = float(leg.t[-2]), float(leg.t[-1])
-    end = leg.y[:, -1]
-    dense = None
-
-    def h_at(t):
-        nonlocal dense
-        if t == b:
-            return end
-        if dense is None:
-            dense = _solve(rhs, a, b, leg.y[:, -2], opts).sol
-        return dense(t)
-
-    return h_at
-
-
 def _bisect_crossing(g, a, b, g_tol) -> float:
     """Root of g on the step [a, b] whose end b is the solver's event root.
 
     The solver has already located the root to a few ulp, so b is returned
     after one evaluation of g when |g(b)| <= g_tol.  Only otherwise is [a, b]
-    bisected; in ``detect_period`` that is the one case where the last step
-    is solved again with dense output (see _last_step).
+    bisected.
     """
     if abs(g(b)) <= g_tol:
         return b
@@ -380,16 +322,6 @@ def _bisect_crossing(g, a, b, g_tol) -> float:
     return mid
 
 
-# SciPy's explicit Runge-Kutta step controller (scipy.integrate.RK45 and
-# DOP853 share it); the DOP853 tableau itself is read from the public class.
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_STAGES = DOP853.n_stages
-_STAGE_ROWS = [DOP853.A[s, :s] for s in range(1, _STAGES)]
-_EXTRA_ROWS = [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-
 # Arcs per orbit of the sectioned search (see _first_returns), and the
 # cosines and sines of its rays' angles.  6, 12, 16 and 24 arcs ran 8-covector
 # sweeps of ellipsoids and translated ellipsoids within the noise of 8.
@@ -402,132 +334,6 @@ _COS, _SIN = (f(2.0 * np.pi * np.arange(_ARCS) / _ARCS) for f in (np.cos, np.sin
 # by 5.8e-13, 1.5e-11 and 5.1e-10 at r = 1.5e-2, 1.5e-3 and 1.5e-4, one arc
 # by 4.1e-13, 5.9e-12 and 6.0e-11: the two meet near r = 1e-2.
 _ONE_ARC_BELOW = 1e-2
-
-
-class _Lanes:
-    """DOP853 on many initial states at once, each lane with its own step.
-
-    Every lane runs SciPy's DOP853 forward from t = 0 towards ``t_bound``,
-    with SciPy's initial-step rule, error norm and step controller applied
-    to it alone: its own t, step size and rejection flag.  So a lane takes
-    the steps ``solve_ivp(method="DOP853")`` would take from its start, up
-    to rounding.  ``fun`` maps an (N, k) array of states to their
-    derivatives; the field is autonomous, so stage times are not needed.
-    ``step`` tries one step on every lane; ``interpolant`` builds the dense
-    output of the last step on some lanes; ``keep`` drops the other lanes.
-    """
-
-    def __init__(self, fun, y0: np.ndarray, t_bound: float, opts: IntegrationOptions):
-        self.fun, self.t_bound = fun, t_bound
-        self.rtol, self.atol = opts.rtol, opts.atol
-        self.rhs_rows = 0    # states passed to fun
-        self.accepted = 0    # accepted lane steps
-        self.rejected = 0    # rejected lane steps
-        self.y = np.array(y0, dtype=float)
-        self.t = np.zeros(len(self.y))
-        self.f = self.rhs(self.y)
-        self.h_abs = self._initial_step()
-        self.retry = np.zeros(len(self.y), dtype=bool)
-        self._last = None
-
-    def rhs(self, ys):
-        """``fun`` on the rows ys, counted in ``rhs_rows``."""
-        self.rhs_rows += len(ys)
-        return self.fun(ys)
-
-    @staticmethod
-    def _rms(x):
-        return np.sqrt(np.einsum("ij,ij->i", x, x) / x.shape[1])
-
-    def _initial_step(self):
-        # SciPy's select_initial_step, lane by lane (order 7 error estimate).
-        scale = self.atol + np.abs(self.y) * self.rtol
-        d0, d1 = self._rms(self.y / scale), self._rms(self.f / scale)
-        small = (d0 < 1e-5) | (d1 < 1e-5)
-        h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
-        h0 = np.minimum(h0, self.t_bound)
-        f1 = self.rhs(self.y + h0[:, None] * self.f)
-        d2 = self._rms((f1 - self.f) / scale) / h0
-        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
-        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.where(flat, 1.0, np.maximum(d1, d2))) ** -_ERROR_EXPONENT)
-        return np.minimum(np.minimum(100.0 * h0, h1), self.t_bound)
-
-    def step(self) -> np.ndarray:
-        """Try one step on every lane; returns the mask of accepted lanes.
-
-        Accepted lanes move to the step's end; rejected ones keep t and
-        retry next time with the smaller step SciPy would retry with.
-        """
-        t, y, f = self.t, self.y, self.f
-        n, k = y.shape
-        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
-        h_abs = np.where(self.retry, self.h_abs, np.maximum(self.h_abs, min_step))
-        if (h_abs < min_step).any():
-            lane = int(np.argmax(h_abs < min_step))
-            raise IntegrationError(f"solver failed near t = {t[lane]:.6g}: Required step "
-                                   f"size is less than spacing between numbers.")
-        t_new = np.minimum(t + h_abs, self.t_bound)
-        h = t_new - t
-        hc = h[:, None]
-        stages = np.empty((_STAGES + 4, n * k))
-        stages[0] = f.ravel()
-        for s, a in enumerate(_STAGE_ROWS, start=1):
-            stages[s] = self.rhs(y + hc * (a @ stages[:s]).reshape(n, k)).ravel()
-        y_new = y + hc * (DOP853.B @ stages[:_STAGES]).reshape(n, k)
-        f_new = self.rhs(y_new)
-        stages[_STAGES] = f_new.ravel()
-
-        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        err5 = (DOP853.E5 @ stages[:_STAGES + 1]).reshape(n, k) / scale
-        err3 = (DOP853.E3 @ stages[:_STAGES + 1]).reshape(n, k) / scale
-        e5 = np.einsum("ij,ij->i", err5, err5)
-        denom = e5 + 0.01 * np.einsum("ij,ij->i", err3, err3)
-        error_norm = h * e5 / np.sqrt(np.where(denom > 0.0, denom, 1.0) * k)
-        ok = error_norm < 1.0
-        positive = error_norm > 0.0
-        factor = _SAFETY * np.where(positive, error_norm, 1.0) ** _ERROR_EXPONENT
-        factor = np.where(ok, np.where(positive, np.minimum(_MAX_FACTOR, factor), _MAX_FACTOR),
-                          np.fmax(_MIN_FACTOR, factor))
-        factor = np.where(ok & self.retry, np.minimum(1.0, factor), factor)
-
-        self.h_abs = h * factor
-        self.retry = ~ok
-        accepted = int(ok.sum())
-        self.accepted += accepted
-        self.rejected += n - accepted
-        self._last = (t, h, y, y_new, f, f_new, stages)
-        self.t = np.where(ok, t_new, t)
-        self.y = np.where(ok[:, None], y_new, y)
-        self.f = np.where(ok[:, None], f_new, f)
-        return ok
-
-    def interpolant(self, lanes: np.ndarray):
-        """(t_old, h, y_old, rows) of the last step on the given accepted lanes.
-
-        This computes DOP853's 3 extra stages for those lanes only; rows are
-        the 7 polynomial rows per lane, shaped (7, len(lanes), k).
-        """
-        t, h, y, y_new, f, f_new, stages = self._last
-        k = y.shape[1]
-        m = len(lanes)
-        stages = stages.reshape(len(stages), -1, k)[:, lanes].reshape(len(stages), m * k)
-        hc, y_old, f_old = h[lanes, None], y[lanes], f[lanes]
-        for s, a in enumerate(_EXTRA_ROWS, start=_STAGES + 1):
-            stages[s] = self.rhs(y_old + hc * (a @ stages[:s]).reshape(m, k)).ravel()
-        delta = y_new[lanes] - y_old
-        rows = np.empty((7, m, k))
-        rows[0] = delta
-        rows[1] = hc * f_old - delta
-        rows[2] = 2.0 * delta - hc * (f_new[lanes] + f_old)
-        rows[3:] = hc * (DOP853.D @ stages).reshape(len(DOP853.D), m, k)
-        return t[lanes], h[lanes], y_old, rows
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop every lane outside ``mask``."""
-        self.t, self.y, self.f = self.t[mask], self.y[mask], self.f[mask]
-        self.h_abs, self.retry = self.h_abs[mask], self.retry[mask]
-        self._last = None
 
 
 def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
@@ -624,7 +430,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
         lane, g_a, g_b, t_old, step, y_old, rows = map(np.concatenate, zip(*hits))
         x, root_iters = _roots(rows, y_old, origin[lane], normal[lane], g_a, g_b)
         times = t_old + x * step
-        miss = np.linalg.norm(_dense_rows(rows, x)[0] + y_old - target[lane], axis=1)
+        miss = np.linalg.norm(_dense_rows(rows, x) + y_old - target[lane], axis=1)
         arcs = np.bincount(owner[lane], minlength=len(h0))
         period = np.bincount(owner[lane], weights=times, minlength=len(h0))
         worst = np.zeros(len(h0))
@@ -677,27 +483,6 @@ def _level_crossings(body: ControlBody, base: np.ndarray, dirs: np.ndarray, gues
     return rho, iterations
 
 
-def _dense_rows(rows: np.ndarray, x: np.ndarray):
-    """The interpolant increment h(x) - y_old and its derivative in x, per lane.
-
-    ``rows`` (m, 7, k) are the DOP853 polynomial rows of m steps, evaluated
-    in the nested form of SciPy's ``Dop853DenseOutput`` (as in _dense_values)
-    at x in [0, 1], one x per step.
-    """
-    x = x[:, None]
-    y = np.zeros((rows.shape[0], rows.shape[2]))
-    dy = np.zeros_like(y)
-    for i in range(rows.shape[1]):
-        y += rows[:, -1 - i]
-        if i % 2 == 0:
-            dy = dy * x + y
-            y *= x
-        else:
-            dy = dy * (1.0 - x) - y
-            y *= 1.0 - x
-    return y, dy
-
-
 def _roots(rows, y_old, origin, normal, g_a, g_b):
     """Root x in [0, 1] of g(x) = <h(x) - origin, normal> on each step's interpolant.
 
@@ -711,7 +496,7 @@ def _roots(rows, y_old, origin, normal, g_a, g_b):
     floor = 4.0 * _EPS * np.abs(y_old).max(axis=1)
     x = g_a / (g_a - g_b)
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        y, dy = _dense_rows(rows, x)
+        y, dy = _dense_rows(rows, x, slope=True)
         g = np.einsum("ij,ij->i", y + y_old - origin, normal)
         slope = np.einsum("ij,ij->i", dy, normal)
         lo, hi = np.where(g < 0.0, x, lo), np.where(g < 0.0, hi, x)
@@ -728,7 +513,7 @@ def _roots(rows, y_old, origin, normal, g_a, g_b):
 
 def _detect_each(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
                  opts: IntegrationOptions) -> list[PeriodResult | None]:
-    """``detect_period`` on SciPy's solve_ivp, one start after another."""
+    """``detect_period`` on the one-trajectory DOP853 loop, one start after another."""
     rhs = _make_rhs(body, matrix)
     found = []
     for h0 in starts:
@@ -885,7 +670,7 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
     # Refine by locating the zero of d/dt ||h(t) - h0||^2, which is smooth
     # even when the minimum value sits at the integration-noise floor.
     def slope(t):
-        h = sol.sol(t)
+        h = sol.at(t)
         return float((h - h0) @ rhs(t, h))
 
     lo = grid[max(j - 1, 0)]
@@ -893,7 +678,7 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
     t_best, d_best = float(grid[j]), float(dist[j])
     if hi > lo and slope(lo) < 0.0 < slope(hi):
         t_star = float(brentq(slope, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
-        d_star = float(np.linalg.norm(sol.sol(t_star) - h0))
+        d_star = float(np.linalg.norm(sol.at(t_star) - h0))
         if d_star < d_best:
             t_best, d_best = t_star, d_star
     return QuasiPeriodResult(min_return_distance=d_best, time_of_min=t_best)

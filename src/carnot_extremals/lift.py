@@ -22,8 +22,8 @@ import numpy as np
 from .algebra import AlgebraSpec, SkewMatrix, kernel_basis
 from .bodies import ControlBody
 from .errors import DriftExceededError, InputError
-from .flow import (IntegrationOptions, Trajectory, _assemble_vertical, _dense_values, _make_rhs,
-                   _output_grid, _solve)
+from .dop853 import _dense_values, _solve
+from .flow import IntegrationOptions, Trajectory, _assemble_vertical, _make_rhs, _output_grid
 
 # Gauss-Legendre rule of _NODES nodes on [0, 1]: nodes _C, weights _W.
 # _ANTIDERIVATIVE holds an antiderivative of each Lagrange basis polynomial of

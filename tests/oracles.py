@@ -163,6 +163,19 @@ def dense_control(body, matrix, h0, t1):
     return lambda t: body.support_gradient(sol.sol(t))
 
 
+def momentum_residual(hs, xs, matrix):
+    """Largest miss of identity (I1), h(t) + M x(t) = h(0), relative to the scale of h and M x.
+
+    dh/dt = -M u and dx/dt = u from x(0) = 0 make h + M x constant, for
+    every body and every k.  Only the sampled rows of h and x and the
+    matrix M are read.
+    """
+    hs, xs = np.asarray(hs, dtype=float), np.asarray(xs, dtype=float)
+    moved = xs @ np.asarray(matrix, dtype=float).T
+    scale = max(np.abs(hs).max(), np.abs(moved).max())
+    return float(np.abs(hs + moved - hs[0]).max() / scale)
+
+
 def shoelace_area(xs, ys):
     """Absolute polygon area of a sampled closed curve."""
     return 0.5 * abs(float(np.dot(xs, np.roll(ys, -1)) - np.dot(ys, np.roll(xs, -1))))

@@ -61,6 +61,11 @@ class TestConfigParsing:
                      id="rtol_beyond_double"),
         pytest.param(lambda d: d.update(body={"type": "lp_ball", "p": 10**400}), "body.p",
                      id="p_beyond_double"),
+        # a second key for a pair must not silently replace the first
+        pytest.param(lambda d: d.update(M={"1,2": 1.0, " 1,2": 5.0}),
+                     "'M'.*'1,2' and ' 1,2'", id="repeated_pair"),
+        pytest.param(lambda d: d.update(M={"01,3": 1.0, "1,3": 5.0}),
+                     "'M'.*'01,3' and '1,3'", id="repeated_pair_zero_padded"),
     ])
     def test_bad_fields_are_named(self, mutate, needle):
         doc = json.loads(json.dumps(BALL3_CFG))
@@ -268,7 +273,7 @@ class TestClassifyCommand:
         assert kinds == ["constant", "periodic", "periodic", "periodic"]
         np.testing.assert_array_equal(report["results"][0]["h0"], [0.0, 0.0, 1.0])
         # A sweep steps through one batched search and a single h0 through
-        # solve_ivp, so each entry matches its single-h0 run up to rounding.
+        # detect_period, so each entry matches its single-h0 run up to rounding.
         for n, (h0, result) in enumerate(zip(sweep, report["results"])):
             single_doc = dict(doc, h0=h0)
             del single_doc["sweep"]

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import logging
 
@@ -7,13 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from carnot_extremals import flow
+from carnot_extremals import dop853, flow, lift
 from carnot_extremals import (
     AbnormalCovectorError,
     DriftExceededError,
     Ellipsoid,
     HorizonExhaustedError,
     InputError,
+    IntegrationError,
     IntegrationOptions,
     LpBall,
     SkewMatrix,
@@ -187,25 +190,25 @@ class TestDetectPeriod:
 
     def test_no_leg_keeps_dense_output(self, monkeypatch):
         # The far leg is read at its end point and the return leg at the
-        # solver's event root, whose state the solver already holds.
+        # solver's event root: each keeps the interpolant of its event step
+        # and of no other step.
         solves = record_solves(monkeypatch)
         detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
         assert len(solves) == 2
-        far, back = solves
-        assert far.sol is None
-        assert back.sol is None
+        for leg in solves:
+            assert leg.status == 1 and leg.t.size > 2
+            assert leg.h.size == 1 and leg.t_old[0] == leg.t[-2]
 
-    def test_bisection_fallback_solves_the_last_step_again(self, monkeypatch):
+    def test_bisection_fallback_reads_the_event_step(self, monkeypatch):
         # With _G_TOL = 0 the event root (|g| ~ 2e-16 there) is not taken as
-        # it is: the last step of the return leg is solved again, with dense
-        # output, and bisected.
+        # it is: the root is bisected on the event step's interpolant, which
+        # the return leg kept, so no step is solved again.
         monkeypatch.setattr(flow, "_G_TOL", 0.0)
         solves = record_solves(monkeypatch)
         found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
-        assert len(solves) == 3
-        far, back, step = solves
-        assert step.sol is not None
-        assert (step.t[0], step.t[-1]) == (back.t[-2], back.t[-1])
+        assert len(solves) == 2
+        back = solves[-1]
+        assert back.t[-2] <= found.period < back.t[-1]
         assert abs(found.period - 2.0 * np.pi) <= 1e-12
 
     def test_rotation_flow_sqrt2_speed(self):
@@ -256,13 +259,13 @@ class TestBisectCrossing:
 
         event.terminal = True
         event.direction = 1.0
-        back = flow._solve(unit_rotation, np.pi, 3.0 * np.pi, -h0, IntegrationOptions(),
-                           events=event)
+        back = dop853._solve(unit_rotation, np.pi, 3.0 * np.pi, -h0, IntegrationOptions(),
+                             events=event)
         calls = []
 
         def g(t):
             calls.append(t)
-            return event(t, back.sol(t))
+            return event(t, back.at(t))
 
         return back, g, calls
 
@@ -285,26 +288,140 @@ class TestBisectCrossing:
 
 
 class TestDenseValues:
-    def test_equals_the_ode_solution_bit_for_bit(self, monkeypatch):
+    @staticmethod
+    def cases():
+        """(rhs, start, opts) over the body families, k = 2..5 and two rtols."""
         rng = np.random.default_rng(11)
-        rhs = flow._make_rhs(LpBall(p=3.5), random_skew(rng, 4).matrix)
-        opts = IntegrationOptions(rtol=1e-9, atol=1e-12)
-        sol = flow._solve(rhs, 0.5, 6.0, rng.standard_normal(4), opts)
-        assert sol.t.size > 10
-        # unsorted times, both ends, and every step boundary, where the
-        # step that ends there is the one evaluated
-        t = np.concatenate((rng.uniform(0.5, 6.0, 300), sol.t[::-1], [6.0, 0.5], sol.t))
-        want = sol.sol(t)
+        for k in (2, 3, 4, 5):
+            bodies = [LpBall(p=p, radius=rng.uniform(0.5, 2.0)) for p in (1.3, 2.7, 4.0)]
+            bodies += [random_body(rng, k, family)
+                       for family in ("ellipsoid", "translated_ellipsoid")]
+            for body in bodies:
+                rhs = flow._make_rhs(body, random_skew(rng, k).matrix)
+                start = body.normalize_to_level(rng.standard_normal(k))
+                for opts in (IntegrationOptions(), IntegrationOptions(rtol=1e-4, atol=1e-9)):
+                    yield rhs, start, opts
 
-        # the stacked evaluation must be the path taken, never OdeSolution
-        # itself: a SciPy release that changes the interpolant layout fails here
-        def refuse(self, t):
-            raise AssertionError("OdeSolution.__call__ used for DOP853")
+    def test_equals_the_ode_solution_bit_for_bit(self):
+        # _solve takes the steps of solve_ivp's DOP853 with the same bits:
+        # step ends, states, nfev, the interpolant at random times and at
+        # every step boundary (where the step that ends there is the one
+        # evaluated), and a terminal event's root, with or without dense output.
+        rng = np.random.default_rng(12)
+        for case, (rhs, start, opts) in enumerate(self.cases()):
+            t0, t1 = 0.5, 1.5
+            want = solve_ivp(rhs, (t0, t1), start, method="DOP853", rtol=opts.rtol,
+                             atol=opts.atol, dense_output=True)
+            got = dop853._solve(rhs, t0, t1, start, opts)
+            assert want.t.size >= 3
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+            assert got.nfev == want.nfev and got.status == want.status == 0
+            t = np.concatenate((rng.uniform(t0, t1, 100), want.t[::-1], [t1, t0]))
+            assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
 
-        monkeypatch.setattr(type(sol.sol), "__call__", refuse)
-        got = flow._dense_values(sol, t)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+            # a plane through the orbit, crossed in either direction
+            normal = rng.standard_normal(start.size)
+            level = float(normal @ want.y[:, want.t.size // 2])
+
+            def event(t, h):
+                return float(normal @ h) - level
+
+            event.terminal, event.direction = True, (-1.0, 0.0, 1.0)[case % 3]
+            for dense in (False, True):
+                want = solve_ivp(rhs, (t0, t1), start, method="DOP853", rtol=opts.rtol,
+                                 atol=opts.atol, dense_output=dense, events=event)
+                got = dop853._solve(rhs, t0, t1, start, opts, events=event, dense=dense)
+                assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+                assert got.nfev == want.nfev and got.status == want.status
+                if want.status == 1:
+                    assert got.t[-1] == want.t_events[0][0]
+                if dense:
+                    t = np.concatenate((rng.uniform(t0, want.t[-1], 20), want.t))
+                    assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
+
+    def test_event_step_is_kept_without_dense_output(self):
+        # A solve without dense output keeps its event step's interpolant only,
+        # and evaluates it at every time.
+        h0 = np.array([1.0, 0.0, 0.0])
+
+        def event(t, h):
+            return float(h[1])
+
+        event.terminal, event.direction = True, -1.0
+        leg = dop853._solve(unit_rotation, 0.0, 10.0, h0, IntegrationOptions(), events=event,
+                            dense=False)
+        assert leg.status == 1 and leg.h.size == 1 and leg.rows.shape == (1, 7, 3)
+        assert abs(leg.t[-1] - np.pi) <= 1e-12
+        assert np.array_equal(leg.at(leg.t[-1]), leg.y[:, -1])
+
+
+class TestSolve:
+    def test_blow_up_stops_at_the_step_size_floor(self):
+        # dy/dt = y^2 from y = 1 blows up at t = 1.  Steps shrink until one
+        # would be under 10 ulp of t, where SciPy's DOP853 fails too.
+        def rhs(t, y):
+            return y * y
+
+        want = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-13, atol=1e-15)
+        assert want.status == -1
+        message = (f"solver failed near t = {want.t[-1]:.6g}: "
+                   f"Required step size is less than spacing between numbers.")
+        assert 1.0 - 1e-6 < want.t[-1] < 1.0
+        with pytest.raises(IntegrationError) as info:
+            dop853._solve(rhs, 0.0, 2.0, np.array([1.0]), IntegrationOptions())
+        assert str(info.value) == message
+
+    def test_debug_line_counts_the_right_hand_sides(self, caplog):
+        # 1 call for f(t0) and 1 for the initial step, 12 per step try and 3
+        # per step with dense output: every step of a dense solve, and the
+        # event step of one without.
+        rhs = flow._make_rhs(LpBall(p=3.0), ROT12.matrix)
+        calls = []
+
+        def counted(t, h):
+            calls.append(t)
+            return rhs(t, h)
+
+        def event(t, h):
+            return float(h[1])
+
+        event.terminal, event.direction = True, -1.0
+        start = LpBall(p=3.0).normalize_to_level([1.0, 0.3, -0.2])
+        opts = IntegrationOptions(rtol=1e-6, atol=1e-9)
+        for dense, events in ((True, None), (False, event), (True, event)):
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="carnot_extremals.dop853"):
+                sol = dop853._solve(counted, 0.0, 20.0, start, opts, events=events, dense=dense)
+            (line,) = [json.loads(r.getMessage()) for r in caplog.records]
+            assert line["event"] == "solve" and line["status"] == sol.status
+            assert (line["t0"], line["t1"]) == (0.0, 20.0)
+            assert line["accepted"] == sol.t.size - 1 and line["rejected"] > 0
+            dense_steps = line["accepted"] if dense else 1
+            tries = line["accepted"] + line["rejected"]
+            assert line["nfev"] == sol.nfev == len(calls) == 2 + 12 * tries + 3 * dense_steps
+
+    def test_no_line_is_built_without_debug_logging(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="carnot_extremals.dop853")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("debug line built with debug logging off")
+
+        monkeypatch.setattr(dop853.json, "dumps", refuse)
+        dop853._solve(unit_rotation, 0.0, 1.0, np.array([1.0, 0.0, 0.0]), IntegrationOptions())
+
+
+def test_flow_and_lift_use_no_scipy_solver_objects():
+    # The library steps DOP853 itself: no solve_ivp, OdeSolution or
+    # interpolant object of SciPy's is named in the integrator, flow or lift.
+    banned = {"solve_ivp", "OdeSolution", "Dop853DenseOutput", "interpolants", "dense_output"}
+    for module in (dop853, flow, lift):
+        tree = ast.parse(inspect.getsource(module))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & banned, module.__name__
 
 
 class TestClassifyK3:
@@ -605,8 +722,8 @@ class TestLanes:
         matrix = random_skew(rng, 3).matrix
         starts = np.array([body.normalize_to_level(random_covector(rng, 3)) for _ in range(6)])
         span = 7.0
-        lanes = flow._Lanes(lambda hs: -body._level_gradient(hs) @ matrix.T,
-                            starts, span, opts)
+        lanes = dop853._Lanes(lambda hs: -body._level_gradient(hs) @ matrix.T,
+                              starts, span, opts)
         ids, steps, ends = np.arange(len(starts)), np.zeros(len(starts), int), starts.copy()
         while ids.size:
             steps[ids[lanes.step()]] += 1

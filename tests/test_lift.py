@@ -15,7 +15,8 @@ from carnot_extremals import (
     integrate_horizontal,
 )
 
-from oracles import FAMILIES, chart_lift, dense_control, random_body, random_skew, shoelace_area
+from oracles import (FAMILIES, chart_lift, dense_control, momentum_residual, random_body,
+                     random_skew, shoelace_area)
 
 HEIS = SkewMatrix.from_entries(2, {(1, 2): 1.0})
 BALL2 = Ellipsoid(np.eye(2))
@@ -131,6 +132,21 @@ def test_lift_matches_chart_oracle(k):
         x, y = chart_lift(body, skew.matrix, h0, ts)
         assert np.abs(res.x - x).max() <= 1e-9 * np.abs(x).max(), family
         assert np.abs(res.y - y).max() <= 1e-9 * np.abs(y).max(), family
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lift_keeps_the_momentum_identity(k, family):
+    # (I1): h(t) + M x(t) = h0 along the whole extremal, from the sampled
+    # covector and first layer alone; x is a quadrature over the solver's
+    # step interpolants and h their values, so a wrong step interval, node
+    # or weight breaks it.
+    rng = np.random.default_rng(80 + k)
+    skew = random_skew(rng, k)
+    body = random_body(rng, k, family)
+    res = integrate_horizontal(rng.standard_normal(k), skew, body, 10.0, samples=300)
+    assert np.abs(res.x).max() > 0.1
+    assert momentum_residual(res.trajectory.h, res.x, skew.matrix) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
