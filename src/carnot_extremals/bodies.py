@@ -143,7 +143,7 @@ def _quadratic_rows(a: np.ndarray, hs: np.ndarray):
     """
     e = np.frexp(np.abs(hs).max(axis=1))[1]
     w = np.ldexp(hs, -e[:, None])
-    aw = w @ a.T
+    aw = w.dot(a.T)
     return w, aw, np.einsum("ij,ij->i", w, aw), e
 
 
@@ -199,10 +199,10 @@ class Ellipsoid(ControlBody):
 
     def _level_gradient(self, hs):
         # grad(H^2 / 2) = A h: linear, no square root.
-        return hs @ self.shape_matrix  # rows of A h, as A is symmetric
+        return hs.dot(self.shape_matrix)  # rows of A h, as A is symmetric
 
     def _level_gradient_at(self, h):
-        return self.shape_matrix @ h
+        return self.shape_matrix.dot(h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,11 +279,17 @@ class LpBall(ControlBody):
     def _level_gradient_at(self, h):
         # _level_gradient on Python floats: for the few components of one
         # covector, NumPy's per-call overhead would cost more than the
-        # arithmetic.  Components at zero give +0.0, as in the rows.
+        # arithmetic.  The rows' operations in their order, without builtin
+        # calls: the clamp test keeps a NaN as min(w, clamp) does, and
+        # components at -0.0 give +0.0, as in the rows.
         r = self.radius
         e, clamp = self._power
-        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), clamp) ** e
-                         for v in h.tolist()])
+        out = []
+        for v in h.tolist():
+            w = r * abs(v)
+            w = (clamp if clamp < w else w) ** e
+            out.append(r * w if v >= 0.0 else -r * w)
+        return np.array(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +344,7 @@ class TranslatedEllipsoid(ControlBody):
         # grad H itself (s = 1), bit for bit as _gradient gives it: scaling by a
         # power of two changes no bit while h^T A h stays in the normal range,
         # so only rows outside it need _gradient's rescaling.
-        ah = hs @ self.shape_matrix.T
+        ah = hs.dot(self.shape_matrix.T)
         d = np.einsum("ij,ij->i", hs, ah)
         if not (_TINY <= d.min(initial=np.inf) and d.max(initial=0.0) < np.inf):
             return self._gradient(hs)
@@ -346,8 +352,8 @@ class TranslatedEllipsoid(ControlBody):
 
     def _level_gradient_at(self, h):
         # Not rescaled like the rows: the solver only evaluates it near H = 1.
-        ah = self.shape_matrix @ h
-        return self.center + ah / math.sqrt(float(h @ ah))
+        ah = self.shape_matrix.dot(h)
+        return self.center + ah / math.sqrt(float(h.dot(ah)))
 
 
 BODY_KINDS = {cls.kind: cls for cls in (Ellipsoid, LpBall, TranslatedEllipsoid)}

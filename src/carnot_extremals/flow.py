@@ -164,10 +164,10 @@ def _make_rhs(body: ControlBody, matrix: np.ndarray) -> Callable[[float, np.ndar
     every I_a exactly as that field does, at a lower cost per call.
     """
     grad = body._level_gradient_at
-    neg = -matrix
+    dot = (-matrix).dot
 
     def rhs(t, h):
-        return neg @ grad(h)
+        return dot(grad(h))
 
     return rhs
 
@@ -272,7 +272,7 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
         def event(t, h):
             if t == t_start:
                 return side * np.finfo(float).tiny
-            return float(vhat @ (h - h0))
+            return float(vhat.dot(h - h0))
 
         event.terminal = True
         event.direction = -side
@@ -289,13 +289,19 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
         if back.status != 1:
             break
         a, b = float(back.t[-2]), float(back.t[-1])
-        t_star = _bisect_crossing(lambda t: rises(t, back.at(t)), a, b, _G_TOL)
-        h_star = back.at(t_star)
+        end = back.y[:, -1]
+
+        def state_at(t):
+            # At the root b the solve stored the interpolant's value: no call needed.
+            return end if t == b else back.at(t)
+
+        t_star = _bisect_crossing(lambda t: rises(t, state_at(t)), a, b, _G_TOL)
+        h_star = state_at(t_star)
         residual = float(np.linalg.norm(h_star - h0))
-        if residual <= opts.capture_radius and float(rhs(t_star, h_star) @ hdot0) > 0.0:
+        if residual <= opts.capture_radius and float(rhs(t_star, h_star).dot(hdot0)) > 0.0:
             logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
             return PeriodResult(period=float(t_star), residual=residual)
-        t_lo, state = b, back.y[:, -1]
+        t_lo, state = b, end
     raise HorizonExhaustedError(f"no first return found within t_max = {t_max:.6g}", t_max=t_max)
 
 
@@ -368,7 +374,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
     axis = np.array([matrix[1, 2], -matrix[0, 2], matrix[0, 1]])
     axis /= np.linalg.norm(axis)
     grad = body._gradient(h0)
-    outward = grad - np.outer(grad @ axis, axis)
+    outward = grad - np.outer(grad.dot(axis), axis)
     size = np.linalg.norm(outward, axis=1)
     if not size.all():
         raise InputError("initial velocity vanishes; the trajectory is constant")
@@ -402,7 +408,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
     grad_level = body._level_gradient
 
     def fun(hs):
-        return grad_level(hs) @ neg_t
+        return grad_level(hs).dot(neg_t)
 
     lanes = _Lanes(fun, y0, t_max, opts)
     ids = np.arange(len(y0))

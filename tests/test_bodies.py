@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from carnot_extremals import flow
 from carnot_extremals import (
     AbnormalCovectorError,
     Ellipsoid,
@@ -9,7 +12,9 @@ from carnot_extremals import (
     TranslatedEllipsoid,
 )
 
-from carnot_extremals.flow import _make_rhs
+from carnot_extremals.bodies import _quadratic_rows
+from carnot_extremals.dop853 import _Lanes
+from carnot_extremals.flow import IntegrationOptions, _make_rhs
 
 from oracles import (
     FAMILIES,
@@ -390,3 +395,115 @@ def test_flow_field_is_tangent_to_the_level_set(k):
             grad = body.support_gradient(h)
             velocity = _make_rhs(body, matrix)(0.0, h)
             assert abs(grad @ velocity) <= 1e-14 * np.linalg.norm(grad) * np.linalg.norm(velocity)
+
+
+# --- the solver's fields, pinned bit for bit to their defining expressions
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _field_at(body, h):
+    """The one-point field written out with @, min and the sign chosen first."""
+    if isinstance(body, Ellipsoid):
+        return body.shape_matrix @ h
+    if isinstance(body, LpBall):
+        r, e = body.radius, body.q - 1.0
+        clamp = 2.0 ** min(1.0, 128.0 / e)
+        return np.array([(r if v >= 0.0 else -r) * min(r * abs(v), clamp) ** e
+                         for v in h.tolist()])
+    ah = body.shape_matrix @ h
+    return body.center + ah / math.sqrt(float(h @ ah))
+
+
+def _field_rows(body, hs):
+    """The row field written out with @, on rows inside the normal range."""
+    if isinstance(body, Ellipsoid):
+        return hs @ body.shape_matrix
+    if isinstance(body, LpBall):
+        r, e = body.radius, body.q - 1.0
+        clamp = 2.0 ** min(1.0, 128.0 / e)
+        return np.where(hs >= 0.0, r, -r) * np.minimum(r * np.abs(hs), clamp) ** e
+    ah = hs @ body.shape_matrix.T
+    return body.center + ah / np.sqrt(np.einsum("ij,ij->i", hs, ah))[:, None]
+
+
+def _pinned_bodies(rng, k):
+    # p = 1.0005: the clamp 2^(128 / 2000) is below 2.  p = 2: q - 1 = 1 is
+    # an odd integer, where r (r h_i)^(q - 1) would keep the sign of -0.0
+    # (in floating point q - 1 is 3.000000000000001 at p = 4/3, not 3).
+    return [random_body(rng, k, family) for family in FAMILIES] + [
+        LpBall(p=1.0005, radius=1.0), LpBall(p=2.0, radius=0.5),
+        LpBall(p=4.0 / 3.0, radius=0.5), LpBall(p=1.01, radius=0.5)]
+
+
+def _pinned_points(rng, body, k):
+    """Covectors near H = 1 with components at +-0.0, at the lp clamp and past it."""
+    points = [body.normalize_to_level(random_covector(rng, k)) * rng.uniform(0.5, 2.0)
+              for _ in range(30)]
+    for i, zero in ((0, 0.0), (-1, -0.0)):
+        h = points[0].copy()
+        h[i] = zero
+        points.append(h)
+    if isinstance(body, LpBall):
+        clamp = 2.0 ** min(1.0, 128.0 / (body.q - 1.0))
+        at = clamp / body.radius
+        if body.radius * at == clamp:       # exact for the radii 1 and 1/2
+            h = np.full(k, -0.0)
+            h[:2] = at, -at
+            points.append(h)
+        points.append(np.resize([3.0 * at, -at, 0.0, -0.0, 1e-3], k))
+        points.append(np.resize([np.nan, -np.inf, np.inf, -0.0, 0.5], k))
+    return points
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_one_point_field_has_the_bits_of_its_expression(k):
+    rng = np.random.default_rng(90 + k)
+    for body in _pinned_bodies(rng, k):
+        for h in _pinned_points(rng, body, k):
+            assert _same_bits(body._level_gradient_at(h), _field_at(body, h)), (body, h)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_row_fields_have_the_bits_of_their_expressions(k):
+    rng = np.random.default_rng(95 + k)
+    for body in _pinned_bodies(rng, k):
+        hs = np.array([h for h in _pinned_points(rng, body, k) if np.isfinite(h).all()])
+        assert _same_bits(body._level_gradient(hs), _field_rows(body, hs)), body
+        if isinstance(body, LpBall):
+            continue
+        for scale in (1e-300, 1.0, 1e300):
+            w, aw, _, _ = _quadratic_rows(body.shape_matrix, hs * scale)
+            assert _same_bits(aw, w @ body.shape_matrix.T), body
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_solver_right_hand_side_is_minus_m_times_the_field(k):
+    rng = np.random.default_rng(100 + k)
+    for body in _pinned_bodies(rng, k):
+        matrix = random_skew(rng, k).matrix
+        rhs = _make_rhs(body, matrix)
+        for h in _pinned_points(rng, body, k):
+            assert _same_bits(rhs(0.0, h), -matrix @ body._level_gradient_at(h)), (body, h)
+
+
+def test_lane_field_is_the_row_field_times_minus_m_transposed(monkeypatch):
+    # The sectioned search steps its lanes with the row field times -M^T.
+    funs = []
+
+    class Recording(_Lanes):
+        def __init__(self, fun, *args):
+            funs.append(fun)
+            super().__init__(fun, *args)
+
+    monkeypatch.setattr(flow, "_Lanes", Recording)
+    rng = np.random.default_rng(105)
+    for body in _pinned_bodies(rng, 3):
+        matrix = random_skew(rng, 3).matrix
+        starts = [body.normalize_to_level(random_covector(rng, 3)) for _ in range(2)]
+        flow._first_returns(body, matrix, starts, 1.0, IntegrationOptions())
+        hs = np.array([h for h in _pinned_points(rng, body, 3) if np.isfinite(h).all()])
+        assert _same_bits(funs[-1](hs), body._level_gradient(hs) @ (-matrix).T), body

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import logging
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from carnot_extremals import dop853, flow, lift
+from carnot_extremals import bodies, dop853, flow, lift
 from carnot_extremals import (
     AbnormalCovectorError,
     DriftExceededError,
@@ -210,6 +211,21 @@ class TestDetectPeriod:
         back = solves[-1]
         assert back.t[-2] <= found.period < back.t[-1]
         assert abs(found.period - 2.0 * np.pi) <= 1e-12
+
+    def test_root_taken_as_is_reads_the_stored_state(self, monkeypatch):
+        # At the event root the return leg stored the interpolant's value, so
+        # neither g(b) nor the returned state calls the interpolant.
+        calls = []
+        at = dop853._Solution.at
+
+        def counting(self, t):
+            calls.append(t)
+            return at(self, t)
+
+        monkeypatch.setattr(dop853._Solution, "at", counting)
+        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
+        assert abs(found.period - 2.0 * np.pi) <= 1e-12
+        assert calls == []
 
     def test_rotation_flow_sqrt2_speed(self):
         m = np.sqrt(2.0) * ROT12.matrix
@@ -422,6 +438,28 @@ def test_flow_and_lift_use_no_scipy_solver_objects():
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert not names & banned, module.__name__
+
+
+def test_solver_stages_and_fields_call_ndarray_dot():
+    # On the few components of one state, @ and np.dot cost about twice
+    # the NumPy dispatch of the bound ndarray.dot, with the same bits, so
+    # the solver's stages and the fields it calls use ndarray.dot.
+    def offenders(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+                yield f"@ at line {sub.lineno}"
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "dot" and isinstance(sub.func.value, ast.Name)
+                    and sub.func.value.id == "np"):
+                yield f"np.dot at line {sub.lineno}"
+
+    checked = [dop853, flow._make_rhs, flow._first_returns, flow.detect_period,
+               bodies._quadratic_rows]
+    for cls in (bodies.Ellipsoid, bodies.LpBall, bodies.TranslatedEllipsoid):
+        checked += [cls._level_gradient, cls._level_gradient_at]
+    for obj in checked:
+        found = list(offenders(ast.parse(textwrap.dedent(inspect.getsource(obj)))))
+        assert not found, (obj, found)
 
 
 class TestClassifyK3:
