@@ -6,10 +6,13 @@ states at once under the same step control, each with its own step.  Both
 read the Dormand-Prince 8(5,3) tableau of Hairer, Nørsett and Wanner,
 *Solving Ordinary Differential Equations I*, section II.10, from the
 public ``scipy.integrate.DOP853`` class, and both keep a step's dense
-output as the 7 polynomial rows that ``_dense_rows`` evaluates.  Their stage
-sums call ``ndarray.dot``: for these float64 shapes it makes the BLAS call
-that ``@`` and ``np.dot`` make, so the bits are the same, at about half the
-NumPy dispatch cost of ``@``, which a stage of a few components pays in full.
+output as the 7 polynomial rows that ``_dense_rows`` evaluates, which
+``_interpolant_rows`` builds for both.  Their stage sums call
+``ndarray.dot``: for these float64 shapes it makes the BLAS call that ``@``
+and ``np.dot`` make, so the bits are the same, at about half the NumPy
+dispatch cost of ``@``, which a stage of a few components pays in full.
+``_solve`` keeps each accepted step's stages and builds the interpolants of
+a dense solve in blocks of steps (``_step_rows``), not step by step.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ _EXTRA_ROWS = [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
 _STAGE_TIMES = [float(c) for c in DOP853.C[1:]]
 _EXTRA_TIMES = [float(c) for c in DOP853.C_EXTRA]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_DENSE_BLOCK = 256   # steps of a dense _solve whose interpolants _step_rows builds together
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -118,8 +122,11 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
     event function g(t, y) with an optional ``direction``, as for solve_ivp:
     a step that takes g across zero in that direction stops the solve at
     the root of g on the step's interpolant (``brentq``, as solve_ivp).
-    A step size below 10 ulp of t raises IntegrationError, and each solve
-    logs one JSON debug line with its counters.
+    The event step's interpolant is built when the event is found; those of
+    a dense solve are built _DENSE_BLOCK steps at a time, from the stages
+    each step kept.  A step size below 10 ulp of t raises
+    IntegrationError, and each solve logs one JSON debug line with its
+    counters.
     """
     t, t_bound = float(t0), float(t1)
     y = np.asarray(z0, dtype=float)
@@ -134,31 +141,26 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
     else:
         status = 0
     K = np.empty((_STAGES + 4, n))
-    KT = [K[:s].T.dot for s in range(_STAGES + 4)]   # K[:s].T.dot, on the stages before stage s
+    KT = [K[:s].T.dot for s in range(_STAGES + 2)]   # K[:s].T.dot, on the stages before stage s
     direction = getattr(events, "direction", 0)
     g = events(t, y) if events is not None else None
     ts, ys = [t], [y]
-    kept = ([], [], [], [])     # t_old, h, y_old and rows of the steps keeping an interpolant
+    stages = np.empty((_DENSE_BLOCK if dense else 0, _STAGES + 4, n))  # of the stored steps
+    kept = []           # (t_old, h, y_old, rows) of the steps that keep an interpolant
+    built = stored = 0  # steps whose interpolants are built, and stored steps waiting
+    event_step = None
     accepted = rejected = 0
 
-    def keep_step():
-        # the 3 extra stages and the 7 interpolant rows of the step just accepted
-        nonlocal nfev
-        for s, a, c in zip(range(_STAGES + 1, _STAGES + 4), _EXTRA_ROWS, _EXTRA_TIMES):
-            K[s] = rhs(t_old + c * h, y_old + KT[s](a) * h)
-        nfev += 3
-        rows = np.empty((7, n))
-        delta = y - y_old
-        rows[0] = delta
-        rows[1] = h * f_old - delta
-        rows[2] = 2 * delta - h * (f + f_old)
-        rows[3:] = h * DOP853.D.dot(K)
-        for column, value in zip(kept, (t_old, h, y_old, rows)):
-            column.append(value)
-        return rows
-
-    def value_at(rows, s):
-        return _dense_rows(rows, (s - t_old) / h) + y_old
+    def build():
+        nonlocal built, stored, nfev
+        t_end = np.array(ts[built:built + stored + 1])
+        y_end = np.vstack(ys[built:built + stored + 1])
+        t_old, h, y_old = t_end[:-1], t_end[1:] - t_end[:-1], y_end[:-1]
+        kept.append((t_old, h, y_old, _step_rows(rhs, stages[:stored], t_old, h, y_old,
+                                                 y_end[1:])))
+        nfev += 3 * stored
+        built += stored
+        stored = 0
 
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -200,38 +202,85 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
             break
 
         accepted += 1
-        t_old, y_old, f_old = t, y, f
+        t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
-        rows = keep_step() if dense else None
         if events is not None:
             g_new = events(t, y)
             up, down = g <= 0 and g_new >= 0, g >= 0 and g_new <= 0
             if up and direction > 0 or down and direction < 0 or (up or down) and direction == 0:
-                if rows is None:
-                    rows = keep_step()
-                t = brentq(lambda s: events(s, value_at(rows, s)), t_old, t,
-                           xtol=4 * _EPS, rtol=4 * _EPS)
-                y = value_at(rows, t)
+                t_step, h_step = np.array([t_old]), np.array([h])
+                rows = _step_rows(rhs, K[None], t_step, h_step, y_old[None], y[None])
+                event_step = (t_step, h_step, y_old[None], rows)
+                rows = rows[0]
+                t = brentq(lambda s: events(s, _dense_rows(rows, (s - t_old) / h) + y_old),
+                           t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                y = _dense_rows(rows, (t - t_old) / h) + y_old
+                nfev += 3
                 status = 1
             g = g_new
+        if dense and event_step is None:
+            stages[stored, :_STAGES + 1] = K[:_STAGES + 1]
+            stored += 1
         if dense and len(ts) > 1 and ts[-1] == t:
-            for column in kept:     # an event root at the step start ends the solve there
-                column.pop()
+            event_step = None   # an event root at the step start ends the solve there
         else:
             ts.append(t)
             ys.append(y)
+        if stored == _DENSE_BLOCK:
+            build()
 
+    if stored and status != -1:
+        build()
+    if event_step is not None:
+        kept.append(event_step)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({"event": "solve", "accepted": accepted, "rejected": rejected,
                                  "nfev": nfev, "t0": float(t0), "t1": t_bound,
                                  "status": status}))
     if status == -1:
-        raise IntegrationError(f"solver failed near t = {t:.6g}: {_TOO_SMALL_STEP}")
-    t_olds, hs, y_olds, rows = map(np.array, kept)
-    return _Solution(t=np.array(ts), y=np.vstack(ys).T, nfev=nfev, status=status,
-                     t_old=t_olds, h=hs, y_old=y_olds.reshape(-1, n), rows=rows.reshape(-1, 7, n))
+        raise IntegrationError(f"solver failed near t = {ts[-1]:.6g}: {_TOO_SMALL_STEP}")
+    if not kept:
+        kept.append((np.empty(0), np.empty(0), np.empty((0, n)), np.empty((0, 7, n))))
+    t_old, h, y_old, rows = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+    return _Solution(t=np.array(ts), y=np.vstack(ys).T, nfev=nfev, status=status, t_old=t_old,
+                     h=h, y_old=y_old, rows=rows)
+
+
+def _step_rows(rhs, K: np.ndarray, t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray,
+               y_new: np.ndarray) -> np.ndarray:
+    """The (m, 7, n) interpolant rows of m steps of _solve, from their stages K (m, 16, n).
+
+    K holds each step's first _STAGES + 1 stages; this fills in DOP853's 3
+    extra stages, one call of the one-point rhs per step and extra stage.
+    Each stage sum is one stacked ``np.matmul`` over the steps, which gives
+    the bits of the per-step ``K[:s].T.dot(a)``, as ``np.matmul(D, K)``
+    gives those of ``D.dot(K)``.
+    """
+    hc = h[:, None]
+    for s, a, c in zip(range(_STAGES + 1, _STAGES + 4), _EXTRA_ROWS, _EXTRA_TIMES):
+        for j, (time, state) in enumerate(zip((t_old + c * h).tolist(),
+                                               y_old + np.matmul(a, K[:, :s]) * hc)):
+            K[j, s] = rhs(time, state)
+    return _interpolant_rows(h, y_old, y_new, K[:, 0], K[:, _STAGES], np.matmul(DOP853.D, K))
+
+
+def _interpolant_rows(h, y_old, y_new, f_old, f_new, dk) -> np.ndarray:
+    """The 7 polynomial rows (m, 7, n) of m DOP853 steps, in SciPy's order of operations.
+
+    h (m,) are the step sizes, y and f (m, n) the states and derivatives at
+    the step ends, and dk (m, 4, n) DOP853's D matrix applied to each step's
+    16 stages.
+    """
+    hc = h[:, None]
+    delta = y_new - y_old
+    rows = np.empty((len(h), 7, delta.shape[1]))
+    rows[:, 0] = delta
+    rows[:, 1] = hc * f_old - delta
+    rows[:, 2] = 2 * delta - hc * (f_new + f_old)
+    rows[:, 3:] = hc[:, None] * dk
+    return rows
 
 
 def _dense_values(sol: _Solution, t) -> np.ndarray:
@@ -375,22 +424,18 @@ class _Lanes:
         """(t_old, h, y_old, rows) of the last step on the given accepted lanes.
 
         This computes DOP853's 3 extra stages for those lanes only; rows are
-        the 7 polynomial rows per lane, shaped (7, len(lanes), k).
+        the 7 polynomial rows per lane, shaped (len(lanes), 7, k).
         """
         t, h, y, y_new, f, f_new, stages = self._last
         k = y.shape[1]
         m = len(lanes)
         stages = stages.reshape(len(stages), -1, k)[:, lanes].reshape(len(stages), m * k)
-        hc, y_old, f_old = h[lanes, None], y[lanes], f[lanes]
+        h, y_old = h[lanes], y[lanes]
         for s, a in enumerate(_EXTRA_ROWS, start=_STAGES + 1):
-            stages[s] = self.rhs(y_old + hc * a.dot(stages[:s]).reshape(m, k)).ravel()
-        delta = y_new[lanes] - y_old
-        rows = np.empty((7, m, k))
-        rows[0] = delta
-        rows[1] = hc * f_old - delta
-        rows[2] = 2.0 * delta - hc * (f_new[lanes] + f_old)
-        rows[3:] = hc * DOP853.D.dot(stages).reshape(len(DOP853.D), m, k)
-        return t[lanes], h[lanes], y_old, rows
+            stages[s] = self.rhs(y_old + h[:, None] * a.dot(stages[:s]).reshape(m, k)).ravel()
+        dk = DOP853.D.dot(stages).reshape(len(DOP853.D), m, k).transpose(1, 0, 2)
+        return t[lanes], h, y_old, _interpolant_rows(h, y_old, y_new[lanes], f[lanes],
+                                                     f_new[lanes], dk)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop every lane outside ``mask``."""

@@ -422,8 +422,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
         if cross.any():
             lane = np.flatnonzero(cross)
             t_old, step, y_old, rows = lanes.interpolant(lane)
-            hits.append((ids[lane], g[lane], g_new[lane], t_old, step, y_old,
-                         rows.transpose(1, 0, 2)))
+            hits.append((ids[lane], g[lane], g_new[lane], t_old, step, y_old, rows))
         g = g_new
         done = cross | (lanes.t >= t_max)
         if done.any():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from carnot_extremals import bodies, dop853, flow, lift
 from carnot_extremals import (
@@ -355,6 +355,37 @@ class TestDenseValues:
                     t = np.concatenate((rng.uniform(t0, want.t[-1], 20), want.t))
                     assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
 
+    def test_event_root_at_the_start_of_the_event_step(self):
+        # g = (t - t_k)^2 touches zero at t_k, a step end of the plain solve,
+        # and rises after it, so the step from t_k finds its root at its own
+        # start.  With dense output that step's interpolant is dropped and t
+        # ends at t_k once; without, t ends with t_k twice, as in solve_ivp.
+        rhs = flow._make_rhs(LpBall(p=3.0), ROT12.matrix)
+        start = LpBall(p=3.0).normalize_to_level([1.0, 0.3, -0.2])
+        opts = IntegrationOptions(rtol=1e-6)
+        plain = dop853._solve(rhs, 0.0, 20.0, start, opts)
+        t_k = float(plain.t[plain.t.size // 2])
+
+        def event(t, h):
+            return (t - t_k) ** 2
+
+        event.terminal, event.direction = True, 1.0
+        rng = np.random.default_rng(13)
+        for dense in (False, True):
+            want = solve_ivp(rhs, (0.0, 20.0), start, method="DOP853", rtol=opts.rtol,
+                             atol=opts.atol, dense_output=dense, events=event)
+            got = dop853._solve(rhs, 0.0, 20.0, start, opts, events=event, dense=dense)
+            assert want.status == got.status == 1 and want.t_events[0][0] == t_k
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+            assert got.nfev == want.nfev
+            assert list(got.t[-2:] == t_k) == ([False, True] if dense else [True, True])
+            if dense:
+                assert got.h.size == got.t.size - 1
+                t = np.concatenate((rng.uniform(0.0, t_k, 50), want.t))
+                assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
+            else:
+                assert got.h.size == 1 and got.t_old[0] == t_k
+
     def test_event_step_is_kept_without_dense_output(self):
         # A solve without dense output keeps its event step's interpolant only,
         # and evaluates it at every time.
@@ -460,6 +491,38 @@ def test_solver_stages_and_fields_call_ndarray_dot():
     for obj in checked:
         found = list(offenders(ast.parse(textwrap.dedent(inspect.getsource(obj)))))
         assert not found, (obj, found)
+
+
+def test_bulk_interpolants_repeat_the_per_step_sums():
+    # _step_rows builds the interpolants of many steps at once: each extra
+    # stage's sums over all steps in one stacked np.matmul, and the D rows
+    # in another.  They must have the bits of solve_ivp's per-step
+    # K[:s].T.dot(a) and D.dot(K), which TestDenseValues pins end to end; a
+    # NumPy or BLAS change that breaks this fails here under its own name.
+    rng = np.random.default_rng(21)
+    m, first = 2000, dop853._STAGES + 1
+    for k in (2, 3, 4, 5):
+        K = rng.standard_normal((m, first + 3, k)) * 10.0 ** rng.integers(-3, 4, (m, 1, 1))
+        t_old, h = rng.uniform(0.0, 10.0, m), rng.uniform(1e-3, 1.0, m)
+        y_old, y_new = rng.standard_normal((m, k)), rng.standard_normal((m, k))
+        states = []
+
+        def rhs(t, y):
+            # stage s of step j is called as the (s * m + j)-th call
+            states.append((t, y.copy()))
+            s, j = divmod(len(states) - 1, m)
+            return K[j, first + s]
+
+        stages = K.copy()
+        stages[:, first:] = np.nan   # the extra stages, which _step_rows fills in
+        rows = dop853._step_rows(rhs, stages, t_old, h, y_old, y_new)
+        for s, (a, c) in enumerate(zip(dop853._EXTRA_ROWS, dop853._EXTRA_TIMES)):
+            for j in range(m):
+                t, y = states[s * m + j]
+                assert t == t_old[j] + c * h[j]
+                assert np.array_equal(y, y_old[j] + K[j, :first + s].T.dot(a) * h[j])
+        for j in range(m):
+            assert np.array_equal(rows[j, 3:], h[j] * DOP853.D.dot(K[j]))
 
 
 class TestClassifyK3:
