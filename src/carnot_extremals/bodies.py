@@ -230,6 +230,8 @@ class LpBall(ControlBody):
         out = []
         if not (np.isfinite(self.p) and self.p > 1.0):
             out.append(f"exponent p must lie strictly in (1, inf), got {self.p}")
+        elif not self.q - 1.0 > 0.0:   # from p of about 1e16 on: an l1 support
+            out.append(f"exponent p = {self.p} is too large: q = p / (p - 1) rounds to 1")
         if not (np.isfinite(self.radius) and self.radius > 0.0):
             out.append(f"radius must be positive, got {self.radius}")
         return out

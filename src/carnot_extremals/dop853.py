@@ -11,8 +11,8 @@ output as the 7 polynomial rows that ``_dense_rows`` evaluates, which
 ``ndarray.dot``: for these float64 shapes it makes the BLAS call that ``@``
 and ``np.dot`` make, so the bits are the same, at about half the NumPy
 dispatch cost of ``@``, which a stage of a few components pays in full.
-``_solve`` keeps each accepted step's stages and builds the interpolants of
-a dense solve in blocks of steps (``_step_rows``), not step by step.
+``_solve`` without an event keeps each accepted step's stages and builds
+their interpolants in blocks of steps (``_step_rows``), not step by step.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ _EXTRA_ROWS = [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
 _STAGE_TIMES = [float(c) for c in DOP853.C[1:]]
 _EXTRA_TIMES = [float(c) for c in DOP853.C_EXTRA]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_DENSE_BLOCK = 256   # steps of a dense _solve whose interpolants _step_rows builds together
+_DENSE_BLOCK = 256   # steps of an event-free _solve whose interpolants _step_rows builds together
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -60,10 +60,11 @@ class _Solution:
     last entry is the event root instead.  ``y`` (n, t.size) holds the
     states there, ``nfev`` counts the right-hand side calls and ``status``
     is 0 when t1 was reached, 1 when the event stopped the solve.  The last
-    ``h.size`` steps keep their interpolants: every step of a dense solve,
-    and otherwise the event step if there is one.  A step's interpolant is
-    y_old plus the nested polynomial of its 7 ``rows`` in
-    x = (t - t_old) / h; see _dense_rows.
+    ``h.size`` steps keep their interpolants: every step of a solve without
+    an event; of a solve with one, only the event step, if the event fired.
+    A step's interpolant is y_old plus the nested polynomial of its 7
+    ``rows`` in x = (t - t_old) / h; see _dense_rows, and _dense_values to
+    evaluate it.
     """
 
     t: np.ndarray
@@ -74,12 +75,6 @@ class _Solution:
     h: np.ndarray
     y_old: np.ndarray
     rows: np.ndarray
-
-    def at(self, t: float) -> np.ndarray:
-        """The interpolant at one time t, on the step _dense_values picks for it."""
-        m = self.h.size
-        seg = min(max(int(np.searchsorted(self.t[-m - 1:], t, side="left")) - 1, 0), m - 1)
-        return _dense_rows(self.rows[seg], (t - self.t_old[seg]) / self.h[seg]) + self.y_old[seg]
 
 
 def _rms(x) -> float:
@@ -110,23 +105,23 @@ def _initial_step(rhs, t: float, y, f, t_bound: float, rtol: float, atol: float)
     return min(100 * h0, h1, t_bound - t)
 
 
-def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, events=None,
-           dense: bool = True) -> _Solution:
+def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
+           events=None) -> _Solution:
     """DOP853 from (t0, z0) forward to t1, step for step as SciPy's solve_ivp takes it.
 
     This is ``solve_ivp(rhs, (t0, t1), z0, method="DOP853", rtol=opts.rtol,
-    atol=opts.atol, dense_output=dense, events=events)`` with the same
-    arithmetic in the same order: SciPy's initial step, stages, error norm,
-    step controller and dense output, so the steps, ``nfev``, interpolants
-    and event root have the same bits.  ``events`` is None or one terminal
-    event function g(t, y) with an optional ``direction``, as for solve_ivp:
-    a step that takes g across zero in that direction stops the solve at
-    the root of g on the step's interpolant (``brentq``, as solve_ivp).
-    The event step's interpolant is built when the event is found; those of
-    a dense solve are built _DENSE_BLOCK steps at a time, from the stages
-    each step kept.  A step size below 10 ulp of t raises
-    IntegrationError, and each solve logs one JSON debug line with its
-    counters.
+    atol=opts.atol, dense_output=events is None, events=events)`` with the
+    same arithmetic in the same order: SciPy's initial step, stages, error
+    norm, step controller and dense output, so the steps, ``nfev``,
+    interpolants and event root have the same bits.  ``events`` is None or
+    one terminal event function g(t, y) with an optional ``direction``, as
+    for solve_ivp: a step that takes g across zero in that direction stops
+    the solve at the root of g on the step's interpolant (``brentq``, as
+    solve_ivp).  A solve with an event keeps only its event step's
+    interpolant, built when the event is found; a solve without one keeps
+    every step's, built _DENSE_BLOCK steps at a time from the stages each
+    step kept.  A step size below 10 ulp of t raises IntegrationError, and
+    each solve logs one JSON debug line with its counters.
     """
     t, t_bound = float(t0), float(t1)
     y = np.asarray(z0, dtype=float)
@@ -145,10 +140,9 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
     direction = getattr(events, "direction", 0)
     g = events(t, y) if events is not None else None
     ts, ys = [t], [y]
-    stages = np.empty((_DENSE_BLOCK if dense else 0, _STAGES + 4, n))  # of the stored steps
+    stages = np.empty((_DENSE_BLOCK if events is None else 0, _STAGES + 4, n))  # stored steps
     kept = []           # (t_old, h, y_old, rows) of the steps that keep an interpolant
     built = stored = 0  # steps whose interpolants are built, and stored steps waiting
-    event_step = None
     accepted = rejected = 0
 
     def build():
@@ -206,13 +200,16 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
         t, y, f = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
-        if events is not None:
+        if events is None:
+            stages[stored, :_STAGES + 1] = K[:_STAGES + 1]
+            stored += 1
+        else:
             g_new = events(t, y)
             up, down = g <= 0 and g_new >= 0, g >= 0 and g_new <= 0
             if up and direction > 0 or down and direction < 0 or (up or down) and direction == 0:
                 t_step, h_step = np.array([t_old]), np.array([h])
                 rows = _step_rows(rhs, K[None], t_step, h_step, y_old[None], y[None])
-                event_step = (t_step, h_step, y_old[None], rows)
+                kept.append((t_step, h_step, y_old[None], rows))
                 rows = rows[0]
                 t = brentq(lambda s: events(s, _dense_rows(rows, (s - t_old) / h) + y_old),
                            t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
@@ -220,21 +217,13 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions, 
                 nfev += 3
                 status = 1
             g = g_new
-        if dense and event_step is None:
-            stages[stored, :_STAGES + 1] = K[:_STAGES + 1]
-            stored += 1
-        if dense and len(ts) > 1 and ts[-1] == t:
-            event_step = None   # an event root at the step start ends the solve there
-        else:
-            ts.append(t)
-            ys.append(y)
+        ts.append(t)
+        ys.append(y)
         if stored == _DENSE_BLOCK:
             build()
 
     if stored and status != -1:
         build()
-    if event_step is not None:
-        kept.append(event_step)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({"event": "solve", "accepted": accepted, "rejected": rejected,
                                  "nfev": nfev, "t0": float(t0), "t1": t_bound,
@@ -284,7 +273,7 @@ def _interpolant_rows(h, y_old, y_new, f_old, f_new, dk) -> np.ndarray:
 
 
 def _dense_values(sol: _Solution, t) -> np.ndarray:
-    """The interpolant of a dense solve at a 1-D array of times t, shape (n, t.size).
+    """The kept interpolants of a solve at times t: (n, t.size) for a 1-D t, (n,) for a scalar.
 
     Each time goes to the step solve_ivp's ``OdeSolution`` picks, and is
     evaluated with its operations, so the bits are the same: at a step

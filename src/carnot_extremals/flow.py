@@ -47,11 +47,19 @@ _NEWTON_MAX_ITER = 60
 _EPS = np.finfo(float).eps
 # |g| at or below this accepts a return candidate of detect_period as it is.
 _G_TOL = 1e-12
+# The classification bars: detect_period accepts a return within _CAPTURE_RADIUS
+# of h0; a parallel residual up to _PARALLEL_TOL is constant, a periodic one up to
+# _PARALLEL_WARN_BAND warns, and a return residual above _RETURN_RESIDUAL_TOL
+# leaves the covector unclassified.
+_CAPTURE_RADIUS = 1e-3
+_PARALLEL_TOL = 1e-9
+_PARALLEL_WARN_BAND = 1e-6
+_RETURN_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Tolerances and knobs shared by the flow operations.
+    """Solver tolerances, drift bound, kernel cut and horizon of the flow operations.
 
     The solver is fixed: Dormand-Prince 8(5,3) (DOP853), an adaptive
     embedded Runge-Kutta pair with dense output, run forward in time by the
@@ -60,17 +68,14 @@ class IntegrationOptions:
     1e-8 monitoring bars on horizons of a few hundred time units, including
     near equilibria and across the mild gradient kinks of lp bodies.
     Every value must be a real, non-bool number and is stored as a float
-    (``t_max`` may also be None); a bad one raises InputError.
+    (``t_max`` may also be None); a bad one raises InputError.  The
+    classification bars are not options but the module constants above.
     """
 
     rtol: float = 1e-13
     atol: float = 1e-15
     max_drift: float = 1e-7
     kernel_rel_tol: float = KERNEL_REL_TOL
-    parallel_tol: float = 1e-9
-    parallel_warn_band: float = 1e-6
-    capture_radius: float = 1e-3
-    return_residual_tol: float = 1e-8
     t_max: float | None = None
 
     def __post_init__(self):
@@ -243,7 +248,7 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     candidate when |g| <= _G_TOL there; otherwise it is refined by
     bisection on the interpolant of the event step, which the solve keeps,
     until |g| <= _G_TOL.  The candidate is accepted if it lands within
-    opts.capture_radius of h0 with velocity aligned to the initial one;
+    _CAPTURE_RADIUS of h0 with velocity aligned to the initial one;
     otherwise the two stops repeat from the candidate.  So the search
     integrates up to the first return and no further: there are no fixed
     chunks and no scan grid.  Crossings are seen through the sign of g at
@@ -280,12 +285,12 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
 
     t_lo, state = 0.0, h0
     while t_lo < t_max:
-        far = _solve(rhs, t_lo, t_max, state, opts, events=crossing(t_lo, 1.0), dense=False)
+        far = _solve(rhs, t_lo, t_max, state, opts, events=crossing(t_lo, 1.0))
         if far.status != 1:
             break
         t_far = float(far.t[-1])
         rises = crossing(t_far, -1.0)
-        back = _solve(rhs, t_far, t_max, far.y[:, -1], opts, events=rises, dense=False)
+        back = _solve(rhs, t_far, t_max, far.y[:, -1], opts, events=rises)
         if back.status != 1:
             break
         a, b = float(back.t[-2]), float(back.t[-1])
@@ -293,12 +298,12 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
 
         def state_at(t):
             # At the root b the solve stored the interpolant's value: no call needed.
-            return end if t == b else back.at(t)
+            return end if t == b else _dense_values(back, t)
 
         t_star = _bisect_crossing(lambda t: rises(t, state_at(t)), a, b, _G_TOL)
         h_star = state_at(t_star)
         residual = float(np.linalg.norm(h_star - h0))
-        if residual <= opts.capture_radius and float(rhs(t_star, h_star).dot(hdot0)) > 0.0:
+        if residual <= _CAPTURE_RADIUS and float(rhs(t_star, h_star).dot(hdot0)) > 0.0:
             logger.debug("first return at T=%.12g residual=%.3e", t_star, residual)
             return PeriodResult(period=float(t_star), residual=residual)
         t_lo, state = b, end
@@ -537,13 +542,13 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     single unit vector a, and the solution is constant exactly when
     grad H(h0) is parallel to a (the extremum points of I_a on the level set
     H = 1 are the equilibria); the relative off-parallel residual is
-    compared against opts.parallel_tol.  Nonconstant solutions are closed
+    compared against _PARALLEL_TOL.  Nonconstant solutions are closed
     curves and are classified by first-return detection (``detect_period``).
     The axis a and sigma_max come from one scale-free kernel_basis call, and
     the flow runs on M / sigma_max in time units of 1 / sigma_max, so the
     outcome does not depend on the scale of M and T(lambda M) = T(M) / lambda.
 
-    Residuals inside (parallel_tol, parallel_warn_band] attach a warning:
+    Residuals inside (_PARALLEL_TOL, _PARALLEL_WARN_BAND] attach a warning:
     that close to the constant branch the return time becomes
     ill-conditioned.
     """
@@ -608,11 +613,11 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
     for h0 in starts:
         grad = body.support_gradient(h0)
         residual = float(np.linalg.norm(grad - (grad @ a) * a) / np.linalg.norm(grad))
-        if residual <= opts.parallel_tol:
+        if residual <= _PARALLEL_TOL:
             out.append(ExtremalClass(kind=CONSTANT, parallel_residual=residual))
             continue
         warnings = ()
-        if residual <= opts.parallel_warn_band:
+        if residual <= _PARALLEL_WARN_BAND:
             warnings = (f"initial control is nearly aligned with the Casimir direction "
                         f"(residual {residual:.3e}); the period is ill-conditioned here",)
         moving.append((len(out), h0, residual, warnings))
@@ -630,11 +635,11 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
             )
             continue
         period = result.period / sigma
-        if result.residual > opts.return_residual_tol:
+        if result.residual > _RETURN_RESIDUAL_TOL:
             out[i] = ExtremalClass(
                 kind=UNCLASSIFIED, parallel_residual=residual,
                 reason=(f"return residual {result.residual:.3e} exceeds "
-                        f"{opts.return_residual_tol:.1e} at T = {period:.9g}"),
+                        f"{_RETURN_RESIDUAL_TOL:.1e} at T = {period:.9g}"),
                 warnings=warnings,
             )
             continue
@@ -675,7 +680,7 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
     # Refine by locating the zero of d/dt ||h(t) - h0||^2, which is smooth
     # even when the minimum value sits at the integration-noise floor.
     def slope(t):
-        h = sol.at(t)
+        h = _dense_values(sol, t)
         return float((h - h0) @ rhs(t, h))
 
     lo = grid[max(j - 1, 0)]
@@ -683,7 +688,7 @@ def quasi_periodicity_check(h0, skew: SkewMatrix, body: ControlBody, t_max: floa
     t_best, d_best = float(grid[j]), float(dist[j])
     if hi > lo and slope(lo) < 0.0 < slope(hi):
         t_star = float(brentq(slope, lo, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
-        d_star = float(np.linalg.norm(sol.at(t_star) - h0))
+        d_star = float(np.linalg.norm(_dense_values(sol, t_star) - h0))
         if d_star < d_best:
             t_best, d_best = t_star, d_star
     return QuasiPeriodResult(min_return_distance=d_best, time_of_min=t_best)

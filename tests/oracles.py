@@ -176,6 +176,25 @@ def momentum_residual(hs, xs, matrix):
     return float(np.abs(hs + moved - hs[0]).max() / scale)
 
 
+def area_momentum_residual(ts, hs, xs, ys, matrix):
+    """Largest miss of identity (I2), sum_{i<j} M_ij y_ij(t) = (t - <x(t), h(t)>) / 2.
+
+    Both sides vanish at t = 0, and with dy_ij/dt = (x_i u_j - x_j u_i) / 2
+    the left one grows at <x, M u> / 2; the right one at
+    (1 - <u, h> + <x, M u>) / 2, the same, as Euler's identity
+    <grad H(h), h> = H(h) = 1 holds on the level set.  Only the sampled t,
+    h, x and y and the matrix M are read; y is in lexicographic pair order.
+    The miss is relative to the largest of the terms summed.
+    """
+    ts, hs = np.asarray(ts, dtype=float), np.asarray(hs, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    rows, cols = np.triu_indices(hs.shape[1], 1)
+    swept = ys @ np.asarray(matrix, dtype=float)[rows, cols]
+    time, pairing = 0.5 * ts, 0.5 * np.einsum("ij,ij->i", xs, hs)
+    scale = max(np.abs(swept).max(), np.abs(time).max(), np.abs(pairing).max())
+    return float(np.abs(swept - time + pairing).max() / scale)
+
+
 def shoelace_area(xs, ys):
     """Absolute polygon area of a sampled closed curve."""
     return 0.5 * abs(float(np.dot(xs, np.roll(ys, -1)) - np.dot(ys, np.roll(xs, -1))))

@@ -133,6 +133,14 @@ class TestValidate:
     def test_infinite_p_fails(self):
         assert not LpBall(p=np.inf).validate().ok
 
+    def test_p_whose_conjugate_rounds_to_one_fails(self):
+        # q = p / (p - 1) is exactly 1.0 from p of about 1e16 on: an l1 support,
+        # not strictly convex, whose level-set field would divide by q - 1.
+        assert LpBall(p=1e17).q == 1.0
+        report = LpBall(p=1e17).validate()
+        assert not report.ok and any("q" in v for v in report.violations)
+        assert LpBall(p=1e15).validate().ok
+
 
 def test_bodies_are_immutable():
     body = Ellipsoid(np.eye(2))

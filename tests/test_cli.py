@@ -97,11 +97,25 @@ class TestExitCodes:
     def test_retired_project_level_key_is_exit_2(self, tmp_path, capsys):
         for doc, key in ((dict(BALL3_CFG, project_level=False), "project_level"),
                          (dict(BALL3_CFG, tolerances={"project_level": 1.0}), "project_level"),
-                         (dict(BALL3_CFG, tolerances={"method": "RK45"}), "method")):
+                         (dict(BALL3_CFG, tolerances={"method": "RK45"}), "method"),
+                         *((dict(BALL3_CFG, tolerances={key: 1e-3}), key)
+                           for key in ("parallel_tol", "parallel_warn_band", "capture_radius",
+                                       "return_residual_tol"))):
             code, _ = run(tmp_path, "integrate", doc)
             assert code == 2
             err = capsys.readouterr().err
             assert "config" in err and key in err
+
+    def test_p_whose_conjugate_rounds_to_one_is_exit_2(self, tmp_path, capsys):
+        # q = p / (p - 1) rounds to 1 at p = 1e17: every command rejects the
+        # body as a config error instead of dividing by q - 1 or running on it.
+        doc = dict(BALL3_CFG, body={"type": "lp_ball", "p": 1e17}, gradcheck={"points": 20})
+        for command in ("analyze", "integrate", "classify", "gradcheck"):
+            code, out = run(tmp_path, command, doc)
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert "config" in err and "body" in err, command
+            assert not out.exists(), command
 
     def test_classify_rejects_other_ranks_with_exit_2(self, tmp_path, capsys):
         doc = {

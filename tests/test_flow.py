@@ -216,13 +216,13 @@ class TestDetectPeriod:
         # At the event root the return leg stored the interpolant's value, so
         # neither g(b) nor the returned state calls the interpolant.
         calls = []
-        at = dop853._Solution.at
+        dense_values = flow._dense_values
 
-        def counting(self, t):
+        def counting(sol, t):
             calls.append(t)
-            return at(self, t)
+            return dense_values(sol, t)
 
-        monkeypatch.setattr(dop853._Solution, "at", counting)
+        monkeypatch.setattr(flow, "_dense_values", counting)
         found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
         assert abs(found.period - 2.0 * np.pi) <= 1e-12
         assert calls == []
@@ -281,7 +281,7 @@ class TestBisectCrossing:
 
         def g(t):
             calls.append(t)
-            return event(t, back.at(t))
+            return event(t, dop853._dense_values(back, t))
 
         return back, g, calls
 
@@ -322,7 +322,8 @@ class TestDenseValues:
         # _solve takes the steps of solve_ivp's DOP853 with the same bits:
         # step ends, states, nfev, the interpolant at random times and at
         # every step boundary (where the step that ends there is the one
-        # evaluated), and a terminal event's root, with or without dense output.
+        # evaluated), and a terminal event's root; a solve with an event keeps
+        # no dense output but its event step's.
         rng = np.random.default_rng(12)
         for case, (rhs, start, opts) in enumerate(self.cases()):
             t0, t1 = 0.5, 1.5
@@ -343,23 +344,19 @@ class TestDenseValues:
                 return float(normal @ h) - level
 
             event.terminal, event.direction = True, (-1.0, 0.0, 1.0)[case % 3]
-            for dense in (False, True):
-                want = solve_ivp(rhs, (t0, t1), start, method="DOP853", rtol=opts.rtol,
-                                 atol=opts.atol, dense_output=dense, events=event)
-                got = dop853._solve(rhs, t0, t1, start, opts, events=event, dense=dense)
-                assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
-                assert got.nfev == want.nfev and got.status == want.status
-                if want.status == 1:
-                    assert got.t[-1] == want.t_events[0][0]
-                if dense:
-                    t = np.concatenate((rng.uniform(t0, want.t[-1], 20), want.t))
-                    assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
+            want = solve_ivp(rhs, (t0, t1), start, method="DOP853", rtol=opts.rtol,
+                             atol=opts.atol, events=event)
+            got = dop853._solve(rhs, t0, t1, start, opts, events=event)
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+            assert got.nfev == want.nfev and got.status == want.status
+            if want.status == 1:
+                assert got.t[-1] == want.t_events[0][0]
 
     def test_event_root_at_the_start_of_the_event_step(self):
         # g = (t - t_k)^2 touches zero at t_k, a step end of the plain solve,
         # and rises after it, so the step from t_k finds its root at its own
-        # start.  With dense output that step's interpolant is dropped and t
-        # ends at t_k once; without, t ends with t_k twice, as in solve_ivp.
+        # start.  t then ends with t_k twice, as in solve_ivp without dense
+        # output, and the kept interpolant is that of the step from t_k.
         rhs = flow._make_rhs(LpBall(p=3.0), ROT12.matrix)
         start = LpBall(p=3.0).normalize_to_level([1.0, 0.3, -0.2])
         opts = IntegrationOptions(rtol=1e-6)
@@ -370,21 +367,14 @@ class TestDenseValues:
             return (t - t_k) ** 2
 
         event.terminal, event.direction = True, 1.0
-        rng = np.random.default_rng(13)
-        for dense in (False, True):
-            want = solve_ivp(rhs, (0.0, 20.0), start, method="DOP853", rtol=opts.rtol,
-                             atol=opts.atol, dense_output=dense, events=event)
-            got = dop853._solve(rhs, 0.0, 20.0, start, opts, events=event, dense=dense)
-            assert want.status == got.status == 1 and want.t_events[0][0] == t_k
-            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
-            assert got.nfev == want.nfev
-            assert list(got.t[-2:] == t_k) == ([False, True] if dense else [True, True])
-            if dense:
-                assert got.h.size == got.t.size - 1
-                t = np.concatenate((rng.uniform(0.0, t_k, 50), want.t))
-                assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
-            else:
-                assert got.h.size == 1 and got.t_old[0] == t_k
+        want = solve_ivp(rhs, (0.0, 20.0), start, method="DOP853", rtol=opts.rtol,
+                         atol=opts.atol, events=event)
+        got = dop853._solve(rhs, 0.0, 20.0, start, opts, events=event)
+        assert want.status == got.status == 1 and want.t_events[0][0] == t_k
+        assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+        assert got.nfev == want.nfev
+        assert list(got.t[-2:] == t_k) == [True, True]
+        assert got.h.size == 1 and got.t_old[0] == t_k
 
     def test_event_step_is_kept_without_dense_output(self):
         # A solve without dense output keeps its event step's interpolant only,
@@ -395,11 +385,10 @@ class TestDenseValues:
             return float(h[1])
 
         event.terminal, event.direction = True, -1.0
-        leg = dop853._solve(unit_rotation, 0.0, 10.0, h0, IntegrationOptions(), events=event,
-                            dense=False)
+        leg = dop853._solve(unit_rotation, 0.0, 10.0, h0, IntegrationOptions(), events=event)
         assert leg.status == 1 and leg.h.size == 1 and leg.rows.shape == (1, 7, 3)
         assert abs(leg.t[-1] - np.pi) <= 1e-12
-        assert np.array_equal(leg.at(leg.t[-1]), leg.y[:, -1])
+        assert np.array_equal(dop853._dense_values(leg, leg.t[-1]), leg.y[:, -1])
 
 
 class TestSolve:
@@ -420,8 +409,8 @@ class TestSolve:
 
     def test_debug_line_counts_the_right_hand_sides(self, caplog):
         # 1 call for f(t0) and 1 for the initial step, 12 per step try and 3
-        # per step with dense output: every step of a dense solve, and the
-        # event step of one without.
+        # per step with dense output: every step of a solve without an event,
+        # and the event step of one with.
         rhs = flow._make_rhs(LpBall(p=3.0), ROT12.matrix)
         calls = []
 
@@ -435,16 +424,16 @@ class TestSolve:
         event.terminal, event.direction = True, -1.0
         start = LpBall(p=3.0).normalize_to_level([1.0, 0.3, -0.2])
         opts = IntegrationOptions(rtol=1e-6, atol=1e-9)
-        for dense, events in ((True, None), (False, event), (True, event)):
+        for events in (None, event):
             calls.clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="carnot_extremals.dop853"):
-                sol = dop853._solve(counted, 0.0, 20.0, start, opts, events=events, dense=dense)
+                sol = dop853._solve(counted, 0.0, 20.0, start, opts, events=events)
             (line,) = [json.loads(r.getMessage()) for r in caplog.records]
             assert line["event"] == "solve" and line["status"] == sol.status
             assert (line["t0"], line["t1"]) == (0.0, 20.0)
             assert line["accepted"] == sol.t.size - 1 and line["rejected"] > 0
-            dense_steps = line["accepted"] if dense else 1
+            dense_steps = line["accepted"] if events is None else 1
             tries = line["accepted"] + line["rejected"]
             assert line["nfev"] == sol.nfev == len(calls) == 2 + 12 * tries + 3 * dense_steps
 
@@ -592,7 +581,7 @@ class TestClassifyK3:
                                                (1e-7, 1e-6, True)])
     def test_small_orbit_near_the_equilibrium(self, eps, bar, warns):
         # h0 is eps off the constant branch, so the orbit is far smaller than
-        # capture_radius = 1e-3; the period still matches 2 pi / omega, and
+        # flow._CAPTURE_RADIUS = 1e-3; the period still matches 2 pi / omega, and
         # only starts inside the warn band carry the ill-conditioning warning
         rng = np.random.default_rng(16)
         for _ in range(12):
@@ -862,8 +851,8 @@ def test_both_searches_check_the_horizon_scaled_by_sigma_max(entry):
 
 @pytest.mark.parametrize("field,value", [
     ("rtol", -1.0), ("rtol", 1e-16), ("atol", 0.0), ("max_drift", np.inf),
-    ("kernel_rel_tol", 1e-20), ("kernel_rel_tol", 2.0), ("parallel_tol", np.nan),
-    ("capture_radius", "wide"), ("t_max", 0.0), ("rtol", True), ("max_drift", "1e-7"),
+    ("kernel_rel_tol", 1e-20), ("kernel_rel_tol", 2.0), ("atol", np.nan),
+    ("t_max", "wide"), ("t_max", 0.0), ("rtol", True), ("max_drift", "1e-7"),
 ])
 def test_options_reject_bad_values(field, value):
     with pytest.raises(InputError, match=field):
@@ -874,8 +863,8 @@ def test_options_accept_their_edge_values():
     opts = IntegrationOptions(rtol=100.0 * np.finfo(float).eps, kernel_rel_tol=1e-15)
     assert opts.t_max is None and opts.kernel_rel_tol == 1e-15
     # other real numbers are stored as floats
-    opts = IntegrationOptions(t_max=np.int64(5), capture_radius=np.float32(0.5))
-    assert type(opts.t_max) is float and type(opts.capture_radius) is float
+    opts = IntegrationOptions(t_max=np.int64(5), max_drift=np.float32(0.5))
+    assert type(opts.t_max) is float and type(opts.max_drift) is float
 
 
 _UNIT = st.floats(-1.0, 1.0)

@@ -15,8 +15,8 @@ from carnot_extremals import (
     integrate_horizontal,
 )
 
-from oracles import (FAMILIES, chart_lift, dense_control, momentum_residual, random_body,
-                     random_skew, shoelace_area)
+from oracles import (FAMILIES, area_momentum_residual, chart_lift, dense_control,
+                     momentum_residual, random_body, random_skew, shoelace_area)
 
 HEIS = SkewMatrix.from_entries(2, {(1, 2): 1.0})
 BALL2 = Ellipsoid(np.eye(2))
@@ -147,6 +147,20 @@ def test_lift_keeps_the_momentum_identity(k, family):
     res = integrate_horizontal(rng.standard_normal(k), skew, body, 10.0, samples=300)
     assert np.abs(res.x).max() > 0.1
     assert momentum_residual(res.trajectory.h, res.x, skew.matrix) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lift_keeps_the_area_momentum_identity(k, family):
+    # (I2): sum_{i<j} M_ij y_ij(t) = (t - <x(t), h(t)>) / 2, from the sampled
+    # t, h, x and y alone; a wrong sign or pair order in the rate of y breaks it.
+    rng = np.random.default_rng(90 + k)
+    skew = random_skew(rng, k)
+    body = random_body(rng, k, family)
+    res = integrate_horizontal(rng.standard_normal(k), skew, body, 10.0, samples=300)
+    assert np.abs(res.y).max() > 0.1
+    assert area_momentum_residual(res.trajectory.t, res.trajectory.h, res.x, res.y,
+                                  skew.matrix) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
