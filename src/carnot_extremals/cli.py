@@ -105,7 +105,13 @@ def _csv_header(config: RunConfig, n_casimirs: int) -> list[str]:
 
 
 def cmd_integrate(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
-    """Integrate the covector flow and lift it; write trajectory.csv and summary.json."""
+    """Integrate the covector flow and lift it; write trajectory.csv and summary.json.
+
+    The summary's ``period`` is the period T from which the run was tiled,
+    or None when the whole horizon was solved (see integrate_horizontal),
+    and ``max_lift_residual`` the largest relative miss of the lift's
+    momentum-map identities over the written rows.
+    """
     start = time.perf_counter()
     aborted = False
     abort_time = None
@@ -147,6 +153,8 @@ def cmd_integrate(config: RunConfig, out_dir: Path) -> tuple[dict, int]:
         "aborted": aborted,
         "abort_time": abort_time,
         "abort_drift": abort_drift,
+        "period": result.period,
+        "max_lift_residual": result.max_lift_residual,
         "wall_time_s": wall,
     }
     return report, (3 if aborted else 0)

@@ -11,8 +11,9 @@ output as the 7 polynomial rows that ``_dense_rows`` evaluates, which
 ``ndarray.dot``: for these float64 shapes it makes the BLAS call that ``@``
 and ``np.dot`` make, so the bits are the same, at about half the NumPy
 dispatch cost of ``@``, which a stage of a few components pays in full.
-``_solve`` without an event keeps each accepted step's stages and builds
-their interpolants in blocks of steps (``_step_rows``), not step by step.
+``_solve`` without an event, or with one and ``dense``, keeps each accepted
+step's stages and builds their interpolants in blocks of steps
+(``_step_rows``), not step by step.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _EXTRA_ROWS = [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_STAGES + 1)]
 _STAGE_TIMES = [float(c) for c in DOP853.C[1:]]
 _EXTRA_TIMES = [float(c) for c in DOP853.C_EXTRA]
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_DENSE_BLOCK = 256   # steps of an event-free _solve whose interpolants _step_rows builds together
+_DENSE_BLOCK = 256   # steps of a dense _solve whose interpolants _step_rows builds together
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -61,7 +62,8 @@ class _Solution:
     states there, ``nfev`` counts the right-hand side calls and ``status``
     is 0 when t1 was reached, 1 when the event stopped the solve.  The last
     ``h.size`` steps keep their interpolants: every step of a solve without
-    an event; of a solve with one, only the event step, if the event fired.
+    an event or with ``dense``; of any other solve with an event, only the
+    event step, if the event fired.
     A step's interpolant is y_old plus the nested polynomial of its 7
     ``rows`` in x = (t - t_old) / h; see _dense_rows, and _dense_values to
     evaluate it.
@@ -92,11 +94,19 @@ def _square_norm(x) -> float:
 
 
 def _initial_step(rhs, t: float, y, f, t_bound: float, rtol: float, atol: float) -> float:
-    """SciPy's select_initial_step for DOP853 forward from t < t_bound: one call of rhs."""
+    """SciPy's select_initial_step for DOP853 forward from t < t_bound: one call of rhs.
+
+    A right-hand side so large that its error norm overflows gives a zero
+    step, which raises IntegrationError before the call.
+    """
     scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(over="ignore"):
+        d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t)
+    if h0 == 0.0:   # d1 overflowed: no step can be taken, and SciPy would divide by zero
+        raise IntegrationError(f"solver failed at t = {t:.6g}: the right-hand side overflows "
+                               f"the error norm, so the initial step is zero")
     d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -106,7 +116,7 @@ def _initial_step(rhs, t: float, y, f, t_bound: float, rtol: float, atol: float)
 
 
 def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
-           events=None) -> _Solution:
+           events=None, dense: bool = False) -> _Solution:
     """DOP853 from (t0, z0) forward to t1, step for step as SciPy's solve_ivp takes it.
 
     This is ``solve_ivp(rhs, (t0, t1), z0, method="DOP853", rtol=opts.rtol,
@@ -120,8 +130,13 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
     solve_ivp).  A solve with an event keeps only its event step's
     interpolant, built when the event is found; a solve without one keeps
     every step's, built _DENSE_BLOCK steps at a time from the stages each
-    step kept.  A step size below 10 ulp of t raises IntegrationError, and
-    each solve logs one JSON debug line with its counters.
+    step kept.  ``dense`` makes a solve with an event keep every step's
+    interpolant the same way: the event step's is built with the steps
+    stored before it, ahead of the root search, so up to the event the
+    solve has the bits of one without the event.  A step size below 10 ulp
+    of t, or an initial step that underflows to zero, raises
+    IntegrationError, and each solve logs one JSON debug line with its
+    counters.
     """
     t, t_bound = float(t0), float(t1)
     y = np.asarray(z0, dtype=float)
@@ -140,7 +155,8 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
     direction = getattr(events, "direction", 0)
     g = events(t, y) if events is not None else None
     ts, ys = [t], [y]
-    stages = np.empty((_DENSE_BLOCK if events is None else 0, _STAGES + 4, n))  # stored steps
+    dense = dense or events is None
+    stages = np.empty((_DENSE_BLOCK if dense else 1, _STAGES + 4, n))  # stored steps
     kept = []           # (t_old, h, y_old, rows) of the steps that keep an interpolant
     built = stored = 0  # steps whose interpolants are built, and stored steps waiting
     accepted = rejected = 0
@@ -200,25 +216,33 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
         t, y, f = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
-        if events is None:
+        ts.append(t)
+        ys.append(y)
+        if dense:
             stages[stored, :_STAGES + 1] = K[:_STAGES + 1]
             stored += 1
-        else:
+        if events is not None:
             g_new = events(t, y)
             up, down = g <= 0 and g_new >= 0, g >= 0 and g_new <= 0
             if up and direction > 0 or down and direction < 0 or (up or down) and direction == 0:
-                t_step, h_step = np.array([t_old]), np.array([h])
-                rows = _step_rows(rhs, K[None], t_step, h_step, y_old[None], y[None])
-                kept.append((t_step, h_step, y_old[None], rows))
-                rows = rows[0]
+                if not dense:   # the event step is the one step stored
+                    stages[0, :_STAGES + 1] = K[:_STAGES + 1]
+                    built, stored = accepted - 1, 1
+                build()
+                rows = kept[-1][3][-1]
                 t = brentq(lambda s: events(s, _dense_rows(rows, (s - t_old) / h) + y_old),
                            t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
                 y = _dense_rows(rows, (t - t_old) / h) + y_old
-                nfev += 3
+                if dense and t == t_old:
+                    # A root at the step's start ends the solve there, without
+                    # the empty step: solve_ivp with dense output does the same.
+                    ts.pop()
+                    ys.pop()
+                    kept[-1] = tuple(part[:-1] for part in kept[-1])
+                else:
+                    ts[-1], ys[-1] = t, y
                 status = 1
             g = g_new
-        ts.append(t)
-        ys.append(y)
         if stored == _DENSE_BLOCK:
             build()
 

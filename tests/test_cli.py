@@ -147,6 +147,20 @@ class TestExitCodes:
         assert summary["rows_written"] == len(lines) - 1
 
 
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    @pytest.mark.parametrize("body", [
+        {"type": "ellipsoid", "A": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]},
+        {"type": "translated_ellipsoid", "A": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+         "c": [0.1, 0.2, 0.0]}], ids=["ellipsoid", "translated"])
+    def test_huge_matrix_is_a_numerical_failure(self, tmp_path, capsys, scale, body):
+        # The error norm of -M grad H overflows, so the initial step is zero.
+        doc = dict(BALL3_CFG, body=body, M={"1,2": scale}, h0=[1.0, 0.2, -0.4])
+        code, out = run(tmp_path, "integrate", doc)
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+
 class TestAnalyze:
     def test_zero_matrix_leaf(self, tmp_path):
         doc = dict(BALL3_CFG, M={}, h0=[1.0, 2.0, 3.0])
@@ -249,6 +263,72 @@ class TestIntegrateCommand:
         reference = h_columns(1.0)
         for scale in (1e-15, 1e-8, 1e15):
             np.testing.assert_allclose(h_columns(scale), reference, rtol=0, atol=1e-9)
+
+
+    def test_summary_reports_the_period_and_the_lift_residual(self, tmp_path):
+        # The tiled k = 3 run and the k = 4 run over the whole horizon both
+        # keep the lift's momentum identities.
+        code, out = run(tmp_path, "integrate", dict(BALL3_CFG, t1=20.0))
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["period"] == pytest.approx(2.0 * np.pi, rel=1e-13)
+        assert 0.0 < summary["max_lift_residual"] <= 1e-10
+        doc = {"k": 4, "body": {"type": "lp_ball", "p": 3.0},
+               "M": {"1,2": 1.0, "3,4": 0.7, "1,3": 0.2}, "h0": [1.0, 0.2, -0.4, 0.3],
+               "t1": 10.0, "samples": 200}
+        code, out = run(tmp_path, "integrate", doc)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["period"] is None
+        assert 0.0 < summary["max_lift_residual"] <= 1e-9
+
+    def test_loose_rtol_rank_two_run_is_not_tiled(self, tmp_path, monkeypatch):
+        # At rtol 1e-4 the first return misses h0 by far more than 1e-8, so
+        # the run is solved again without the return event: it aborts where
+        # a solve without the event does.
+        from carnot_extremals import dop853, lift
+
+        doc = dict(BALL3_CFG, body={"type": "lp_ball", "p": 2.5},
+                   M={"1,2": 0.8, "1,3": -0.3, "2,3": 0.5}, h0=[1.0, 0.2, -0.4], t1=10.0,
+                   samples=500, tolerances={"rtol": 1e-4})
+        events = []
+
+        def spy(*args, **kwargs):
+            events.append(kwargs.get("events") is not None)
+            return dop853._solve(*args, **kwargs)
+
+        monkeypatch.setattr(lift, "_solve", spy)
+        code, out = run(tmp_path, "integrate", doc)
+        assert code == 3 and events == [True, False]
+        tiled = json.loads((out / "summary.json").read_text())
+        assert tiled["period"] is None and tiled["aborted"] is True
+        monkeypatch.setattr(lift, "_solve",
+                            lambda *args, events=None, dense=False: dop853._solve(*args))
+        code, out = run(tmp_path, "integrate", doc)
+        assert code == 3
+        assert json.loads((out / "summary.json").read_text())["abort_time"] == tiled["abort_time"]
+
+    def test_solve_steps_do_not_grow_with_the_periods(self, tmp_path):
+        # One period is solved whether t1 spans 10 or 1000 of them.
+        import os
+        import subprocess
+        import sys
+
+        accepted = []
+        for periods in (10, 1000):
+            cfg = write_cfg(tmp_path, dict(BALL3_CFG, t1=periods * 2.0 * np.pi, samples=500))
+            proc = subprocess.run(
+                [sys.executable, "-m", "carnot_extremals", "integrate",
+                 "--config", cfg, "--out", str(tmp_path / "out")],
+                capture_output=True, text=True, env=dict(os.environ, CARNOT_LOG="debug"),
+            )
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout)["period"] is not None
+            lines = [json.loads(line[line.index("{"):]) for line in proc.stderr.splitlines()
+                     if '"event": "solve"' in line]
+            assert [line["status"] for line in lines] == [1]
+            accepted.append(lines[0]["accepted"])
+        assert accepted[0] == accepted[1]
 
 
 class TestClassifyCommand:

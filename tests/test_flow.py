@@ -352,6 +352,16 @@ class TestDenseValues:
             if want.status == 1:
                 assert got.t[-1] == want.t_events[0][0]
 
+            # with dense, the event solve keeps every step's interpolant
+            want = solve_ivp(rhs, (t0, t1), start, method="DOP853", rtol=opts.rtol,
+                             atol=opts.atol, dense_output=True, events=event)
+            got = dop853._solve(rhs, t0, t1, start, opts, events=event, dense=True)
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+            assert got.nfev == want.nfev and got.status == want.status
+            assert got.h.size == got.t.size - 1
+            t = np.concatenate((rng.uniform(t0, got.t[-1], 100), want.t[::-1]))
+            assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
+
     def test_event_root_at_the_start_of_the_event_step(self):
         # g = (t - t_k)^2 touches zero at t_k, a step end of the plain solve,
         # and rises after it, so the step from t_k finds its root at its own
@@ -407,10 +417,20 @@ class TestSolve:
             dop853._solve(rhs, 0.0, 2.0, np.array([1.0]), IntegrationOptions())
         assert str(info.value) == message
 
+    def test_overflowing_right_hand_side_raises_before_a_zero_step(self):
+        # |f| / atol past 1e154 overflows SciPy's RMS norm, so the initial
+        # step would be 0 and the next line divide by it.
+        for scale in (1e150, 1e300):
+            def rhs(t, y, scale=scale):
+                return scale * np.array([-y[1], y[0]])
+
+            with pytest.raises(IntegrationError, match="initial step is zero"):
+                dop853._solve(rhs, 0.0, 1.0, np.array([1.0, 0.0]), IntegrationOptions())
+
     def test_debug_line_counts_the_right_hand_sides(self, caplog):
         # 1 call for f(t0) and 1 for the initial step, 12 per step try and 3
-        # per step with dense output: every step of a solve without an event,
-        # and the event step of one with.
+        # per step with dense output: every step of a solve without an event
+        # or with dense, and the event step of any other solve with one.
         rhs = flow._make_rhs(LpBall(p=3.0), ROT12.matrix)
         calls = []
 
@@ -436,6 +456,14 @@ class TestSolve:
             dense_steps = line["accepted"] if events is None else 1
             tries = line["accepted"] + line["rejected"]
             assert line["nfev"] == sol.nfev == len(calls) == 2 + 12 * tries + 3 * dense_steps
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="carnot_extremals.dop853"):
+            sol = dop853._solve(counted, 0.0, 20.0, start, opts, events=event, dense=True)
+        (line,) = [json.loads(r.getMessage()) for r in caplog.records]
+        assert line["status"] == sol.status == 1
+        tries = line["accepted"] + line["rejected"]
+        assert line["nfev"] == sol.nfev == len(calls) == 2 + 12 * tries + 3 * line["accepted"]
 
     def test_no_line_is_built_without_debug_logging(self, monkeypatch, caplog):
         caplog.set_level(logging.INFO, logger="carnot_extremals.dop853")

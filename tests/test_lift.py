@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.special import gamma
 
 from carnot_extremals import (
     DriftExceededError,
@@ -14,9 +17,11 @@ from carnot_extremals import (
     TranslatedEllipsoid,
     integrate_horizontal,
 )
+from carnot_extremals import dop853, lift
 
-from oracles import (FAMILIES, area_momentum_residual, chart_lift, dense_control,
-                     momentum_residual, random_body, random_skew, shoelace_area)
+from oracles import (FAMILIES, aligned_covector, area_momentum_residual, chart_lift,
+                     dense_control, linear_flow, momentum_residual, random_body, random_skew,
+                     shoelace_area, so3_kernel_direction)
 
 HEIS = SkewMatrix.from_entries(2, {(1, 2): 1.0})
 BALL2 = Ellipsoid(np.eye(2))
@@ -179,3 +184,126 @@ def test_reversal_symmetry_random_bodies(k):
         rev = integrate_horizontal(-h0, skew, mirror, 5.0, samples=50)
         np.testing.assert_allclose(rev.x, -fwd.x, rtol=0.0, atol=1e-12 * np.abs(fwd.x).max())
         np.testing.assert_allclose(rev.y, fwd.y, rtol=0.0, atol=1e-12 * np.abs(fwd.y).max())
+
+
+def full_solves(monkeypatch):
+    """Make integrate_horizontal solve without the return event, as before tiling."""
+    monkeypatch.setattr(lift, "_solve", lambda *args, events=None, dense=False: dop853._solve(*args))
+
+
+def solve_calls(monkeypatch):
+    """Record the events argument of every solve integrate_horizontal makes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("events"))
+        return dop853._solve(*args, **kwargs)
+
+    monkeypatch.setattr(lift, "_solve", spy)
+    return calls
+
+
+ROT3 = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.3, (2, 3): 0.5})
+SHAPE3 = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
+
+
+class TestPeriodicTiling:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rank_two_k4_matches_chart_lift_over_periods(self, family):
+        # M = a b^T - b a^T has rank 2 in k = 4: h runs around a closed curve
+        # in h0 + span(a, b), and x, y tiled from one period by the group law
+        # match one solve of the chart equations over more than 5 periods.
+        a, b = np.array([1.0, 0.3, -0.5, 0.2]), np.array([-0.2, 0.8, 0.1, 0.6])
+        m = np.outer(a, b) - np.outer(b, a)
+        skew = SkewMatrix(m / np.linalg.norm(m, 2))
+        shape = np.diag([1.0, 2.0, 0.5, 1.5])
+        body = {"ellipsoid": Ellipsoid(shape), "lp_ball": LpBall(p=3.0, radius=1.2),
+                "translated_ellipsoid": TranslatedEllipsoid(shape, [0.2, -0.1, 0.1, 0.3])}[family]
+        h0 = [0.7, -0.4, 0.5, 0.2]
+        res = integrate_horizontal(h0, skew, body, 30.0, samples=600)
+        assert res.period is not None and 30.0 / res.period >= 5.0
+        x, y = chart_lift(body, skew.matrix, h0, res.trajectory.t)
+        assert np.abs(res.x - x).max() <= 1e-8 * np.abs(x).max()
+        assert np.abs(res.y - y).max() <= 1e-8 * np.abs(y).max()
+        assert res.max_lift_residual <= 1e-9
+
+    def test_ellipsoid_over_a_thousand_periods_matches_expm(self):
+        # The tiled h lags by n |dT| |dh/dt| after n periods: here about
+        # 3.5e-14 a period, against the exact flow expm(-t M A) h0.
+        body = Ellipsoid(SHAPE3)
+        omega = np.abs(np.linalg.eigvals(ROT3.matrix @ SHAPE3).imag).max()
+        period = 2.0 * np.pi / omega
+        h0 = body.normalize_to_level([1.0, 0.2, -0.4])
+        res = integrate_horizontal(h0, ROT3, body, 1000.0 * period, samples=2000)
+        assert res.period == pytest.approx(period, rel=1e-13)
+        expected = np.array([linear_flow(ROT3.matrix @ SHAPE3, h0, t) for t in res.trajectory.t])
+        assert np.abs(res.trajectory.h - expected).max() <= 1e-9
+
+    @pytest.mark.parametrize("body", [LpBall(p=3.0), Ellipsoid(SHAPE3)], ids=["lp", "ellipsoid"])
+    def test_start_near_the_constant_branch_is_not_tiled(self, body, monkeypatch):
+        axis = so3_kernel_direction(ROT3.matrix)
+        normal = np.cross(axis, [1.0, 0.0, 0.0])
+        h0 = aligned_covector(body, axis) + 1e-7 * normal / np.linalg.norm(normal)
+        grad = body.support_gradient(h0)
+        assert 1e-9 < np.linalg.norm(grad - (grad @ axis) * axis) / np.linalg.norm(grad) <= 1e-6
+        calls = solve_calls(monkeypatch)
+        res = integrate_horizontal(h0, ROT3, body, 30.0, samples=300)
+        assert calls == [None] and res.period is None
+
+    def test_no_return_by_t1_is_the_full_solve(self, monkeypatch):
+        # The event solve reaches t1 first and is used as it is: its dense
+        # output has the bits of the solve without the event.
+        body = LpBall(p=3.0)
+        res = integrate_horizontal([1.0, 0.2, -0.4], ROT3, body, 2.0, samples=300)
+        assert res.period is None
+        full_solves(monkeypatch)
+        ref = integrate_horizontal([1.0, 0.2, -0.4], ROT3, body, 2.0, samples=300)
+        for name in ("t", "h", "u", "level_drift", "casimir_drift"):
+            np.testing.assert_array_equal(getattr(res.trajectory, name),
+                                          getattr(ref.trajectory, name))
+        np.testing.assert_array_equal(res.x, ref.x)
+        np.testing.assert_array_equal(res.y, ref.y)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tiled_rows_before_the_period_keep_the_full_solve_bits(self, family, monkeypatch):
+        rng = np.random.default_rng(5)
+        body = random_body(rng, 3, family)
+        res = integrate_horizontal([1.0, 0.2, -0.4], ROT3, body, 25.0, samples=1000)
+        full_solves(monkeypatch)
+        ref = integrate_horizontal([1.0, 0.2, -0.4], ROT3, body, 25.0, samples=1000)
+        assert res.period is not None and ref.period is None
+        before = res.trajectory.t < res.period
+        for name in ("h", "u", "level_drift", "casimir_drift"):
+            np.testing.assert_array_equal(getattr(res.trajectory, name)[before],
+                                          getattr(ref.trajectory, name)[before])
+        for tiled, full in ((res.trajectory.h, ref.trajectory.h), (res.x, ref.x),
+                            (res.y, ref.y)):
+            assert np.abs(tiled - full).max() <= 1e-9 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.5, 4.0])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_k2_lp_period_matches_the_area_formula(p, r):
+    # Busemann: on the plane the orbit is the level curve H = 1, run at
+    # |dh/dt| so that T = 2 Area{H <= 1} / |m|; for H = r ||h||_q the area is
+    # 4 Gamma(1 + 1/q)^2 / Gamma(1 + 2/q) / r^2.
+    m = -0.7
+    q = p / (p - 1.0)
+    area = 4.0 * gamma(1.0 + 1.0 / q) ** 2 / gamma(1.0 + 2.0 / q) / r ** 2
+    expected = 2.0 * area / abs(m)
+    res = integrate_horizontal([0.6, -0.3], SkewMatrix.from_entries(2, {(1, 2): m}),
+                               LpBall(p=p, radius=r), 1.5 * expected, samples=50)
+    assert res.period == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_max_lift_residual_sees_a_broken_lift():
+    rng = np.random.default_rng(11)
+    skew = random_skew(rng, 4)
+    res = integrate_horizontal(rng.standard_normal(4), skew, random_body(rng, 4, "lp_ball"),
+                               8.0, samples=200)
+    assert res.period is None and res.max_lift_residual <= 1e-9
+    flipped = dataclasses.replace(res, y=-res.y)
+    swapped = dataclasses.replace(res, y=res.y[:, ::-1])
+    shifted = dataclasses.replace(res, x=res.x + 1e-3)
+    for broken in (flipped, swapped, shifted):
+        assert broken.max_lift_residual >= 1e-5
