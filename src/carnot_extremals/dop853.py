@@ -124,13 +124,13 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
     same arithmetic in the same order: SciPy's initial step, stages, error
     norm, step controller and dense output, so the steps, ``nfev``,
     interpolants and event root have the same bits.  ``events`` is None or
-    one terminal event function g(t, y) with an optional ``direction``, as
-    for solve_ivp: a step that takes g across zero in that direction stops
-    the solve at the root of g on the step's interpolant (``brentq``, as
-    solve_ivp).  A solve with an event keeps only its event step's
-    interpolant, built when the event is found; a solve without one keeps
-    every step's, built _DENSE_BLOCK steps at a time from the stages each
-    step kept.  ``dense`` makes a solve with an event keep every step's
+    one terminal event function g(t, y), which stops the solve where it
+    rises through zero, as a solve_ivp event with ``direction = 1``: at the
+    root of g on the interpolant of the step that takes g from <= 0 to >= 0
+    (``brentq``, as solve_ivp).  A solve with an event keeps only its event
+    step's interpolant, built when the event is found; a solve without one
+    keeps every step's, built _DENSE_BLOCK steps at a time from the stages
+    each step kept.  ``dense`` makes a solve with an event keep every step's
     interpolant the same way: the event step's is built with the steps
     stored before it, ahead of the root search, so up to the event the
     solve has the bits of one without the event.  A step size below 10 ulp
@@ -152,7 +152,6 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
         status = 0
     K = np.empty((_STAGES + 4, n))
     KT = [K[:s].T.dot for s in range(_STAGES + 2)]   # K[:s].T.dot, on the stages before stage s
-    direction = getattr(events, "direction", 0)
     g = events(t, y) if events is not None else None
     ts, ys = [t], [y]
     dense = dense or events is None
@@ -223,8 +222,7 @@ def _solve(rhs, t0: float, t1: float, z0: np.ndarray, opts: IntegrationOptions,
             stored += 1
         if events is not None:
             g_new = events(t, y)
-            up, down = g <= 0 and g_new >= 0, g >= 0 and g_new <= 0
-            if up and direction > 0 or down and direction < 0 or (up or down) and direction == 0:
+            if g <= 0 and g_new >= 0:
                 if not dense:   # the event step is the one step stored
                     stages[0, :_STAGES + 1] = K[:_STAGES + 1]
                     built, stored = accepted - 1, 1

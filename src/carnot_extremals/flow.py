@@ -234,27 +234,50 @@ def _assemble_vertical(ts, hs, skew, basis, body, opts) -> Trajectory:
                       level_drift=level_drift, casimir_drift=casimir_drift)
 
 
+def _return_event(rhs, h0: np.ndarray, t_start: float = 0.0):
+    """g(t, h) = <h - h0, v>, v the unit initial velocity: the first-return event.
+
+    On a closed convex orbit g leaves h0 upward, falls through zero on the
+    far side and rises through zero again only at the return, which is
+    where _solve stops.  At t_start, where g is zero up to rounding, it
+    reads +tiny, so a solve from h0 or from an earlier rise never stops at
+    its own start.
+    """
+    hdot0 = rhs(0.0, h0)
+    hdot0 = hdot0 / np.abs(hdot0).max()   # a huge M would overflow the norm
+    vhat = hdot0 / np.linalg.norm(hdot0)
+    tiny = np.finfo(float).tiny
+
+    def event(t, h):
+        return tiny if t == t_start else float(vhat.dot(h - h0))
+
+    return event
+
+
+def _parallel_residual(grad: np.ndarray, basis: CasimirBasis) -> float:
+    """|grad - V^T V grad| / |grad|, V = basis.vectors: the part of grad off ker M.
+
+    grad is grad H(h0), and grad - V^T V grad its part in range M, the plane
+    of the orbit when rank M = 2; it vanishes on the constant branch.
+    """
+    vectors = basis.vectors
+    return float(np.linalg.norm(grad - vectors.T @ (vectors @ grad)) / np.linalg.norm(grad))
+
+
 def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None) -> PeriodResult:
     """First-return time of a nonconstant trajectory of ``rhs`` from h0.
 
-    Monitors g(t) = <h(t) - h0, v> with v the unit initial velocity.  On a
-    closed convex curve traversed monotonically, g leaves t = 0 upward,
-    falls through zero once on the far side of the curve and rises through
-    zero again only at the full return.  The search makes two event stops
-    of the solver: one integration runs until g falls through zero, and a
-    second one, started there, runs until g rises through zero.  Neither
-    keeps dense output: the first is read at its end point, the second at
-    the solver's event root and the state there.  That root is the
-    candidate when |g| <= _G_TOL there; otherwise it is refined by
-    bisection on the interpolant of the event step, which the solve keeps,
-    until |g| <= _G_TOL.  The candidate is accepted if it lands within
-    _CAPTURE_RADIUS of h0 with velocity aligned to the initial one;
-    otherwise the two stops repeat from the candidate.  So the search
-    integrates up to the first return and no further: there are no fixed
-    chunks and no scan grid.  Crossings are seen through the sign of g at
-    the solver's steps, so g dipping below zero and back within a single
-    step would go unseen; at the default tolerances a period takes dozens
-    of steps.
+    One solve per candidate runs until the return event g = <h - h0, v>
+    (see _return_event) rises through zero, keeping only its event step's
+    interpolant.  The solver's event root is the candidate when
+    |g| <= _G_TOL there; otherwise it is refined by bisection on that
+    interpolant until |g| <= _G_TOL.  The candidate is accepted if it lands
+    within _CAPTURE_RADIUS of h0 with velocity aligned to the initial one;
+    otherwise the next solve starts from it.  So the search integrates up
+    to the first return and no further: there are no fixed chunks and no
+    scan grid.  Crossings are seen through the sign of g at the solver's
+    steps, so g dipping below zero and back within a single step would go
+    unseen; at the default tolerances a period takes dozens of steps.
 
     Raises HorizonExhaustedError when no return is found by t_max.
     """
@@ -263,42 +286,21 @@ def detect_period(rhs, h0, t_max: float, opts: IntegrationOptions | None = None)
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise InputError(f"t_max must be positive and finite, got {t_max}")
     hdot0 = np.asarray(rhs(0.0, h0), dtype=float)
-    speed0 = float(np.linalg.norm(hdot0))
-    if speed0 == 0.0:
+    if np.linalg.norm(hdot0) == 0.0:
         raise InputError("initial velocity vanishes; the trajectory is constant")
-    vhat = hdot0 / speed0
-
-    def crossing(t_start, side):
-        # Terminal event on g, crossing from `side` to the other.  Where a
-        # search leg starts (at h0 or at the previous stop) g is zero up to
-        # rounding, so there the event reports the side g is known to leave
-        # towards: the leg never stops at its own start, and a crossing
-        # inside its first step is still bracketed.
-        def event(t, h):
-            if t == t_start:
-                return side * np.finfo(float).tiny
-            return float(vhat.dot(h - h0))
-
-        event.terminal = True
-        event.direction = -side
-        return event
 
     t_lo, state = 0.0, h0
     while t_lo < t_max:
-        far = _solve(rhs, t_lo, t_max, state, opts, events=crossing(t_lo, 1.0))
-        if far.status != 1:
+        rises = _return_event(rhs, h0, t_lo)
+        sol = _solve(rhs, t_lo, t_max, state, opts, events=rises)
+        if sol.status != 1:
             break
-        t_far = float(far.t[-1])
-        rises = crossing(t_far, -1.0)
-        back = _solve(rhs, t_far, t_max, far.y[:, -1], opts, events=rises)
-        if back.status != 1:
-            break
-        a, b = float(back.t[-2]), float(back.t[-1])
-        end = back.y[:, -1]
+        a, b = float(sol.t[-2]), float(sol.t[-1])
+        end = sol.y[:, -1]
 
         def state_at(t):
             # At the root b the solve stored the interpolant's value: no call needed.
-            return end if t == b else _dense_values(back, t)
+            return end if t == b else _dense_values(sol, t)
 
         t_star = _bisect_crossing(lambda t: rises(t, state_at(t)), a, b, _G_TOL)
         h_star = state_at(t_star)
@@ -607,12 +609,10 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
         if not 0.0 < horizon < np.inf:
             raise InputError(f"t_max = {t_max:.6g} scaled by sigma_max = {sigma:.6g} is not "
                              f"a positive finite horizon")
-    a = basis.vectors[0]
     out: list[ExtremalClass | None] = []
     moving = []
     for h0 in starts:
-        grad = body.support_gradient(h0)
-        residual = float(np.linalg.norm(grad - (grad @ a) * a) / np.linalg.norm(grad))
+        residual = _parallel_residual(body.support_gradient(h0), basis)
         if residual <= _PARALLEL_TOL:
             out.append(ExtremalClass(kind=CONSTANT, parallel_residual=residual))
             continue

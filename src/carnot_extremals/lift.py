@@ -30,7 +30,8 @@ from .bodies import ControlBody
 from .errors import DriftExceededError, InputError
 from .dop853 import _dense_values, _solve
 from .flow import (_PARALLEL_WARN_BAND, _RETURN_RESIDUAL_TOL, IntegrationOptions, Trajectory,
-                   _assemble_vertical, _make_rhs, _output_grid)
+                   _assemble_vertical, _make_rhs, _output_grid, _parallel_residual,
+                   _return_event)
 
 # Gauss-Legendre rule of _NODES nodes on [0, 1]: nodes _C, weights _W.
 # _ANTIDERIVATIVE holds an antiderivative of each Lagrange basis polynomial of
@@ -184,34 +185,13 @@ def _rank_two_orbit(h0: np.ndarray, skew: SkewMatrix, body: ControlBody,
 
     With rank M = 2 the orbit lies in the plane h0 + range M, on H = 1: a
     closed convex curve, run around monotonically unless grad H(h0) is
-    normal to that plane.  A start whose in-plane part of grad H(h0), over
-    |grad H(h0)|, is at most _PARALLEL_WARN_BAND is left to the full solve,
-    as is a kernel that kernel_basis flags near singular.
+    normal to that plane.  A start whose parallel residual (see
+    _parallel_residual) is at most _PARALLEL_WARN_BAND is left to the full
+    solve, as is a kernel that kernel_basis flags near singular.
     """
     if skew.k - len(basis) != 2 or basis.near_singular:
         return False
-    grad = body.support_gradient(h0)
-    in_plane = grad - basis.vectors.T @ (basis.vectors @ grad)
-    return float(np.linalg.norm(in_plane)) > _PARALLEL_WARN_BAND * float(np.linalg.norm(grad))
-
-
-def _return_event(rhs, h0: np.ndarray):
-    """g(t, h) = <h - h0, v>, v the unit initial velocity, rising through zero.
-
-    On a closed convex orbit g leaves t = 0 upward, falls through zero on
-    the far side and rises through zero at the first return; at t = 0 it
-    counts as positive, as detect_period's first leg does.
-    """
-    hdot0 = rhs(0.0, h0)
-    hdot0 = hdot0 / np.abs(hdot0).max()   # a huge M would overflow the norm
-    vhat = hdot0 / np.linalg.norm(hdot0)
-    tiny = np.finfo(float).tiny
-
-    def event(t, h):
-        return tiny if t == 0.0 else float(vhat.dot(h - h0))
-
-    event.direction = 1.0
-    return event
+    return _parallel_residual(body.support_gradient(h0), basis) > _PARALLEL_WARN_BAND
 
 
 def _tile(sol, ts: np.ndarray, period: float, body: ControlBody, k: int):
@@ -252,20 +232,20 @@ def integrate_horizontal(h0, skew: SkewMatrix, body: ControlBody, t1: float,
 
     One period is enough when h is periodic.  With rank M = 2, a kernel
     that kernel_basis does not flag near singular and a start off the
-    constant branch (see _rank_two_orbit), the one solve on [0, t1] carries
-    a terminal event at the first return of h to h0 (see _return_event) and
-    keeps its dense output.  If the return comes at T < t1 and misses h0 by
-    at most _RETURN_RESIDUAL_TOL, only [0, T] is lifted, and every grid
-    time t = nT + s takes h(s), u(s) and gamma(T)^n . gamma(s) (see _tile);
-    ``period`` is T.  Then the cost no longer grows with t1, and h, u and
-    the drifts before T, and x and y before the solver step that holds T,
-    have the bits of the full solve.  The tiled h lags the exact one by
-    about n |dT| |dh/dt|, with dT the error of T: the phase error grows
-    linearly in n = t / T, as the global error of a full solve does (on an
-    ellipsoid of the tests, 6e-13, 3.5e-11 and 3.5e-9 against the exact
-    flow at n = 10, 1000 and 100000).  A return that misses the bar is
-    solved again without the event, and a solve that reaches t1 first is the
-    full solve, bit for bit.
+    constant branch (see _rank_two_orbit), the one solve on [0, t1] stops
+    at the first return of h to h0, the event detect_period stops at (see
+    _return_event), and keeps its dense output.  If the return comes at
+    T < t1 and misses h0 by at most _RETURN_RESIDUAL_TOL, only [0, T] is
+    lifted, and every grid time t = nT + s takes h(s), u(s) and
+    gamma(T)^n . gamma(s) (see _tile); ``period`` is T.  Then the cost no
+    longer grows with t1, and h, u and the drifts before T, and x and y
+    before the solver step that holds T, have the bits of the full solve.
+    The tiled h lags the exact one by about n |dT| |dh/dt|, with dT the
+    error of T: the phase error grows linearly in n = t / T, as the global
+    error of a full solve does (on an ellipsoid of the tests, 6e-13,
+    3.5e-11 and 3.5e-9 against the exact flow at n = 10, 1000 and 100000).
+    A return that misses the bar is solved again without the event, and a
+    solve that reaches t1 first is the full solve, bit for bit.
     """
     opts = opts or IntegrationOptions()
     h0, ts = _output_grid(h0, skew, body, t1, samples)

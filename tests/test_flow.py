@@ -26,6 +26,7 @@ from carnot_extremals import (
     classify_sweep,
     detect_period,
     integrate_horizontal,
+    kernel_basis,
     quasi_periodicity_check,
 )
 
@@ -176,8 +177,8 @@ class TestDetectPeriod:
     def test_return_inside_the_first_step_of_a_leg(self, monkeypatch, tau):
         # h(t) = h0 + s (s - 1) (s - 2) e with s = t / tau: g falls through
         # zero at s = 1 and rises back at s = 2.  The solver integrates the
-        # cubic exactly, so its first step after the far side spans the whole
-        # return leg, where g starts at zero only up to rounding.
+        # cubic exactly, so its steps are few and long; the one solve from
+        # h0, the search's only leg, still sees the fall and stops at the rise.
         e = np.array([1.0, 0.0])
 
         def rhs(t, h):
@@ -186,34 +187,33 @@ class TestDetectPeriod:
 
         solves = record_solves(monkeypatch)
         found = detect_period(rhs, e, t_max=10.0 * tau)
-        assert solves[-1].t.size == 2  # the return leg took a single step
+        assert len(solves) == 1
         assert abs(found.period - 2.0 * tau) <= 1e-9 * tau
 
     def test_no_leg_keeps_dense_output(self, monkeypatch):
-        # The far leg is read at its end point and the return leg at the
-        # solver's event root: each keeps the interpolant of its event step
-        # and of no other step.
+        # One solve from h0 stops at the return and is read at the solver's
+        # event root: it keeps the interpolant of its event step and of no
+        # other step.
         solves = record_solves(monkeypatch)
-        detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
-        assert len(solves) == 2
-        for leg in solves:
-            assert leg.status == 1 and leg.t.size > 2
-            assert leg.h.size == 1 and leg.t_old[0] == leg.t[-2]
+        found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
+        (sol,) = solves
+        assert sol.status == 1 and sol.t.size > 2 and sol.t[-1] == found.period
+        assert sol.h.size == 1 and sol.t_old[0] == sol.t[-2]
 
     def test_bisection_fallback_reads_the_event_step(self, monkeypatch):
         # With _G_TOL = 0 the event root (|g| ~ 2e-16 there) is not taken as
         # it is: the root is bisected on the event step's interpolant, which
-        # the return leg kept, so no step is solved again.
+        # the one solve kept, so no step is solved again.
         monkeypatch.setattr(flow, "_G_TOL", 0.0)
         solves = record_solves(monkeypatch)
         found = detect_period(unit_rotation, np.array([1.0, 0.0, 0.0]), t_max=100.0)
-        assert len(solves) == 2
-        back = solves[-1]
-        assert back.t[-2] <= found.period < back.t[-1]
+        (sol,) = solves
+        assert sol.h.size == 1
+        assert sol.t[-2] <= found.period < sol.t[-1]
         assert abs(found.period - 2.0 * np.pi) <= 1e-12
 
     def test_root_taken_as_is_reads_the_stored_state(self, monkeypatch):
-        # At the event root the return leg stored the interpolant's value, so
+        # At the event root the solve stored the interpolant's value, so
         # neither g(b) nor the returned state calls the interpolant.
         calls = []
         dense_values = flow._dense_values
@@ -266,15 +266,9 @@ class TestDetectPeriod:
 class TestBisectCrossing:
     @staticmethod
     def return_leg():
-        """Return leg of the unit rotation from the far side, with its g."""
+        """Solve of the unit rotation from the far side to the return, with its g."""
         h0 = np.array([1.0, 0.0, 0.0])
-        vhat = unit_rotation(0.0, h0)
-
-        def event(t, h):
-            return float(vhat @ (h - h0))
-
-        event.terminal = True
-        event.direction = 1.0
+        event = flow._return_event(unit_rotation, h0, np.pi)
         back = dop853._solve(unit_rotation, np.pi, 3.0 * np.pi, -h0, IntegrationOptions(),
                              events=event)
         calls = []
@@ -322,8 +316,8 @@ class TestDenseValues:
         # _solve takes the steps of solve_ivp's DOP853 with the same bits:
         # step ends, states, nfev, the interpolant at random times and at
         # every step boundary (where the step that ends there is the one
-        # evaluated), and a terminal event's root; a solve with an event keeps
-        # no dense output but its event step's.
+        # evaluated), and the root of a terminal event rising through zero; a
+        # solve with an event keeps no dense output but its event step's.
         rng = np.random.default_rng(12)
         for case, (rhs, start, opts) in enumerate(self.cases()):
             t0, t1 = 0.5, 1.5
@@ -336,14 +330,14 @@ class TestDenseValues:
             t = np.concatenate((rng.uniform(t0, t1, 100), want.t[::-1], [t1, t0]))
             assert np.array_equal(dop853._dense_values(got, t), want.sol(t))
 
-            # a plane through the orbit, crossed in either direction
-            normal = rng.standard_normal(start.size)
+            # a plane through the orbit, crossed from either side as g rises
+            normal = (-1.0, 1.0)[case % 2] * rng.standard_normal(start.size)
             level = float(normal @ want.y[:, want.t.size // 2])
 
             def event(t, h):
                 return float(normal @ h) - level
 
-            event.terminal, event.direction = True, (-1.0, 0.0, 1.0)[case % 3]
+            event.terminal, event.direction = True, 1.0
             want = solve_ivp(rhs, (t0, t1), start, method="DOP853", rtol=opts.rtol,
                              atol=opts.atol, events=event)
             got = dop853._solve(rhs, t0, t1, start, opts, events=event)
@@ -392,9 +386,9 @@ class TestDenseValues:
         h0 = np.array([1.0, 0.0, 0.0])
 
         def event(t, h):
-            return float(h[1])
+            return -float(h[1])
 
-        event.terminal, event.direction = True, -1.0
+        event.terminal, event.direction = True, 1.0
         leg = dop853._solve(unit_rotation, 0.0, 10.0, h0, IntegrationOptions(), events=event)
         assert leg.status == 1 and leg.h.size == 1 and leg.rows.shape == (1, 7, 3)
         assert abs(leg.t[-1] - np.pi) <= 1e-12
@@ -439,9 +433,9 @@ class TestSolve:
             return rhs(t, h)
 
         def event(t, h):
-            return float(h[1])
+            return -float(h[1])
 
-        event.terminal, event.direction = True, -1.0
+        event.terminal, event.direction = True, 1.0
         start = LpBall(p=3.0).normalize_to_level([1.0, 0.3, -0.2])
         opts = IntegrationOptions(rtol=1e-6, atol=1e-9)
         for events in (None, event):
@@ -502,7 +496,7 @@ def test_solver_stages_and_fields_call_ndarray_dot():
                 yield f"np.dot at line {sub.lineno}"
 
     checked = [dop853, flow._make_rhs, flow._first_returns, flow.detect_period,
-               bodies._quadratic_rows]
+               flow._return_event, bodies._quadratic_rows]
     for cls in (bodies.Ellipsoid, bodies.LpBall, bodies.TranslatedEllipsoid):
         checked += [cls._level_gradient, cls._level_gradient_at]
     for obj in checked:
@@ -637,8 +631,10 @@ class TestClassifyK3:
         outcome = classify_k3([0.9, -0.1, 0.3], m, LpBall(p=4.0, radius=2.0))
         assert outcome.kind == "periodic"
         assert outcome.period == pytest.approx(1.098, abs=1e-3)
-        integrated = sum(sol.t[-1] - sol.t[0] for sol in solves)
-        assert integrated <= 1.05 * outcome.period
+        # one solve, on the flow of M / sigma_max, from h0 to the return
+        (sol,) = solves
+        span = outcome.period * kernel_basis(m).sigma_max
+        assert abs((sol.t[-1] - sol.t[0]) - span) <= 1e-12 * span
 
     @pytest.mark.parametrize("p", [1.01, 1.3, 4.0, 50.0])
     def test_period_matches_first_return_oracle_at_extreme_p(self, p):

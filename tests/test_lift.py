@@ -15,13 +15,14 @@ from carnot_extremals import (
     LpBall,
     SkewMatrix,
     TranslatedEllipsoid,
+    classify_k3,
     integrate_horizontal,
 )
 from carnot_extremals import dop853, lift
 
 from oracles import (FAMILIES, aligned_covector, area_momentum_residual, chart_lift,
-                     dense_control, linear_flow, momentum_residual, random_body, random_skew,
-                     shoelace_area, so3_kernel_direction)
+                     dense_control, linear_flow, momentum_residual, random_body,
+                     random_covector, random_skew, shoelace_area, so3_kernel_direction)
 
 HEIS = SkewMatrix.from_entries(2, {(1, 2): 1.0})
 BALL2 = Ellipsoid(np.eye(2))
@@ -279,6 +280,20 @@ class TestPeriodicTiling:
         for tiled, full in ((res.trajectory.h, ref.trajectory.h), (res.x, ref.x),
                             (res.y, ref.y)):
             assert np.abs(tiled - full).max() <= 1e-9 * np.abs(full).max()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_period_matches_classify(self, family):
+        # classify and integrate stop at the same return event, one on the
+        # flow of M / sigma_max and the other on that of M, so their periods
+        # agree to the solver's accuracy, not bit for bit.
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            body = random_body(rng, 3, family)
+            skew = random_skew(rng, 3)
+            h0 = body.normalize_to_level(random_covector(rng, 3))
+            period = classify_k3(h0, skew, body).period
+            res = integrate_horizontal(h0, skew, body, 3.0 * period, samples=30)
+            assert res.period == pytest.approx(period, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1.3, 1.5, 2.5, 4.0])
