@@ -156,32 +156,20 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_kernel_rel_tol(rel_tol: float) -> None:
-    """Raise InputError unless rel_tol lies in [1e-15, 1).
-
-    SVD rounding leaves exact kernels at a few 1e-16 sigma_max, so a smaller
-    cut can miss them; a cut of 1 takes every singular vector.
-    """
-    if not 1e-15 <= rel_tol < 1.0:
-        raise InputError(f"kernel_rel_tol must lie in [1e-15, 1), got {rel_tol!r}")
-
-
-def kernel_basis(skew: SkewMatrix, rel_tol: float = KERNEL_REL_TOL) -> CasimirBasis:
+def kernel_basis(skew: SkewMatrix) -> CasimirBasis:
     """Orthonormal basis of the numerical kernel of M via SVD.
 
     The SVD runs on M * 2**-e, 2**e the binade of the largest entry: an exact
     scaling, denormals included, so the decision is scale-free.  Singular
-    vectors with sigma <= rel_tol * sigma_max belong to the kernel.  A zero
-    matrix yields the standard basis; for odd k the basis is never empty.
-    rel_tol outside [1e-15, 1) raises InputError.
+    vectors with sigma <= KERNEL_REL_TOL * sigma_max belong to the kernel.  A
+    zero matrix yields the standard basis; for odd k the basis is never empty.
     """
-    check_kernel_rel_tol(rel_tol)
     if skew.is_zero:
         vecs, sigma_max, near = np.eye(skew.k), 0.0, False
     else:
         _, e = math.frexp(float(np.abs(skew.matrix).max()))
         _, s, vt = np.linalg.svd(np.ldexp(skew.matrix, -e))
-        mask = s <= rel_tol * s[0]
+        mask = s <= KERNEL_REL_TOL * s[0]
         vecs, sigma_max = _fix_signs(vt[mask]), math.ldexp(float(s[0]), e)
         near = bool(not mask.all() and s[~mask][-1] < NEAR_SINGULAR_BAND * s[0])
     vecs.setflags(write=False)
@@ -205,7 +193,7 @@ class LeafClass:
     point: np.ndarray | None = None
 
 
-def leaf_classify(skew: SkewMatrix, h, rel_tol: float = KERNEL_REL_TOL) -> LeafClass:
+def leaf_classify(skew: SkewMatrix, h) -> LeafClass:
     """Classify the symplectic leaf through (h, M); proven only for k = 3."""
     if skew.k != 3:
         raise UnsupportedRankError(f"leaf classification is only supported for k = 3, got k = {skew.k}")
@@ -214,7 +202,7 @@ def leaf_classify(skew: SkewMatrix, h, rel_tol: float = KERNEL_REL_TOL) -> LeafC
         raise InputError(f"expected a covector of length 3, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise InputError("covector has non-finite entries")
-    basis = kernel_basis(skew, rel_tol)
+    basis = kernel_basis(skew)
     if skew.is_zero:
         return LeafClass(kind="zero_dim", skew_levels=skew.flat(), point=h.copy())
     a = basis.vectors[0]

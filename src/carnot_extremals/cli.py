@@ -62,7 +62,7 @@ def _skew_map(config: RunConfig) -> dict:
 def cmd_analyze(config: RunConfig) -> dict:
     """Kernel/Casimir analysis of M, plus the leaf classification for k = 3."""
     spec = AlgebraSpec(config.k)
-    basis = kernel_basis(config.skew, config.options.kernel_rel_tol)
+    basis = kernel_basis(config.skew)
     warnings = []
     if basis.near_singular:
         warnings.append("skew matrix is near singular; kernel dimension is unreliable")
@@ -77,7 +77,7 @@ def cmd_analyze(config: RunConfig) -> dict:
         "h0": config.h0,
     }
     if config.k == 3:
-        leaf = leaf_classify(config.skew, config.h0, config.options.kernel_rel_tol)
+        leaf = leaf_classify(config.skew, config.h0)
         report["leaf"] = leaf.kind
         report["casimir"] = leaf.casimir
         report["casimir_level"] = leaf.casimir_level

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -24,8 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import (KERNEL_REL_TOL, CasimirBasis, SkewMatrix, check_kernel_rel_tol,
-                      kernel_basis)
+from .algebra import CasimirBasis, SkewMatrix, kernel_basis
 from .bodies import ControlBody
 from .dop853 import _dense_rows, _dense_values, _Lanes, _solve
 from .errors import (
@@ -55,11 +55,17 @@ _CAPTURE_RADIUS = 1e-3
 _PARALLEL_TOL = 1e-9
 _PARALLEL_WARN_BAND = 1e-6
 _RETURN_RESIDUAL_TOL = 1e-8
+# The classify search runs for _TURNS turns of 2 pi max(1, |h0|^2) in the
+# time tau = sigma_max t, h0 on H = 1.  On a ball of radius rho <= 1, where
+# |h0| = 1 / rho, an orbit turns once in 2 pi |h0|^2, and scaling a body by c
+# scales the periods by 1 / c^2, as |h0|^2 does.  Bodies of unit size or more
+# keep the horizon 2 pi _TURNS.
+_TURNS = 100
 
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Solver tolerances, drift bound, kernel cut and horizon of the flow operations.
+    """Solver tolerances and drift bound of the flow operations.
 
     The solver is fixed: Dormand-Prince 8(5,3) (DOP853), an adaptive
     embedded Runge-Kutta pair with dense output, run forward in time by the
@@ -67,22 +73,18 @@ class IntegrationOptions:
     default tolerances keep invariant drift orders of magnitude under the
     1e-8 monitoring bars on horizons of a few hundred time units, including
     near equilibria and across the mild gradient kinks of lp bodies.
-    Every value must be a real, non-bool number and is stored as a float
-    (``t_max`` may also be None); a bad one raises InputError.  The
-    classification bars are not options but the module constants above.
+    Every value must be a real, non-bool number and is stored as a float;
+    a bad one raises InputError.  The classification bars and the search
+    horizon are not options but the module constants above.
     """
 
     rtol: float = 1e-13
     atol: float = 1e-15
     max_drift: float = 1e-7
-    kernel_rel_tol: float = KERNEL_REL_TOL
-    t_max: float | None = None
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name == "t_max" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InputError(f"{field.name} must be a number, got {value!r}")
             try:
@@ -92,7 +94,6 @@ class IntegrationOptions:
             if not (number > 0.0 and np.isfinite(number)):
                 raise InputError(f"{field.name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, field.name, number)
-        check_kernel_rel_tol(self.kernel_rel_tol)
         # SciPy's DOP853, whose steps the solver repeats, raises a smaller rtol
         # to this floor; rejecting it keeps every search on one problem.
         if self.rtol < 100.0 * _EPS:
@@ -349,7 +350,7 @@ _COS, _SIN = (f(2.0 * np.pi * np.arange(_ARCS) / _ARCS) for f in (np.cos, np.sin
 _ONE_ARC_BELOW = 1e-2
 
 
-def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
+def _first_returns(body: ControlBody, matrix: np.ndarray, starts, horizons: np.ndarray,
                    opts: IntegrationOptions) -> list[PeriodResult | None]:
     """First returns of dh/dt = -matrix grad(H^s / s) from every start, as arcs.
 
@@ -372,10 +373,11 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
     Placing points on H = 1 is ill-conditioned near the constant branch, so a
     start whose parallel residual is below _ONE_ARC_BELOW is one arc from
     h0 around the whole orbit, with o = h0 and n the unit velocity direction:
-    g falls through zero on the far side and its next rise is the return.  A
-    covector with an arc still open at t_max, or with arc times summing past
-    t_max, gives None.  One debug log line, a JSON object, gives the work
-    counters.
+    g falls through zero on the far side and its next rise is the return.
+    The lanes step towards the largest of the horizons, and each lane stops
+    at its covector's own; a covector with an arc still open there, or with
+    arc times summing past it, gives None.  One debug log line, a JSON
+    object, gives the work counters.
     """
     h0 = np.array(starts, dtype=float)
     axis = np.array([matrix[1, 2], -matrix[0, 2], matrix[0, 1]])
@@ -417,7 +419,8 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
     def fun(hs):
         return grad_level(hs).dot(neg_t)
 
-    lanes = _Lanes(fun, y0, t_max, opts)
+    limit = horizons[owner]
+    lanes = _Lanes(fun, y0, horizons.max(), opts)
     ids = np.arange(len(y0))
     g = np.einsum("ij,ij->i", y0 - origin, normal)
     hits = []
@@ -431,7 +434,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
             t_old, step, y_old, rows = lanes.interpolant(lane)
             hits.append((ids[lane], g[lane], g_new[lane], t_old, step, y_old, rows))
         g = g_new
-        done = cross | (lanes.t >= t_max)
+        done = cross | (lanes.t >= limit[ids])
         if done.any():
             lanes.keep(~done)
             ids, g = ids[~done], g[~done]
@@ -447,7 +450,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
         period = np.bincount(owner[lane], weights=times, minlength=len(h0))
         worst = np.zeros(len(h0))
         np.maximum.at(worst, owner[lane], miss)
-        for i in np.flatnonzero((arcs == np.where(one, 1, _ARCS)) & (period <= t_max)):
+        for i in np.flatnonzero((arcs == np.where(one, 1, _ARCS)) & (period <= horizons)):
             found[i] = PeriodResult(period=float(period[i]), residual=float(worst[i]))
     logger.debug(json.dumps({"event": "batched_first_return", "covectors": len(found),
                              "arcs": len(y0), "one_arc": len(lone),
@@ -523,14 +526,14 @@ def _roots(rows, y_old, origin, normal, g_a, g_b):
     return x, iterations
 
 
-def _detect_each(body: ControlBody, matrix: np.ndarray, starts, t_max: float,
+def _detect_each(body: ControlBody, matrix: np.ndarray, starts, horizons: np.ndarray,
                  opts: IntegrationOptions) -> list[PeriodResult | None]:
     """``detect_period`` on the one-trajectory DOP853 loop, one start after another."""
     rhs = _make_rhs(body, matrix)
     found = []
-    for h0 in starts:
+    for h0, horizon in zip(starts, horizons):
         try:
-            found.append(detect_period(rhs, h0, t_max, opts))
+            found.append(detect_period(rhs, h0, horizon, opts))
         except HorizonExhaustedError:
             found.append(None)
     return found
@@ -549,6 +552,8 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     The axis a and sigma_max come from one scale-free kernel_basis call, and
     the flow runs on M / sigma_max in time units of 1 / sigma_max, so the
     outcome does not depend on the scale of M and T(lambda M) = T(M) / lambda.
+    The search gives up after _TURNS turns of 2 pi max(1, |h0|^2) in those
+    units, which scales with the body as its periods do.
 
     Residuals inside (_PARALLEL_TOL, _PARALLEL_WARN_BAND] attach a warning:
     that close to the constant branch the return time becomes
@@ -582,11 +587,11 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
               search) -> list[ExtremalClass]:
     """The classification of every covector of h0s, with the given return search.
 
-    ``search(body, matrix, starts, horizon, opts)`` returns one PeriodResult,
-    or None where no return came by the horizon, for each start, on the flow
-    of ``matrix`` = M / sigma_max, so the horizon is t_max * sigma_max.  A
-    t_max for which that product under- or overflows raises InputError
-    before any search.
+    ``search(body, matrix, starts, horizons, opts)`` returns one
+    PeriodResult, or None where no return came by its horizon, for each
+    start, on the flow of ``matrix`` = M / sigma_max.  A start's horizon is
+    _TURNS turns of 2 pi max(1, |h0|^2) in the time of that flow; one that
+    overflows raises InputError before any search.
     """
     if skew.k != 3:
         raise UnsupportedRankError(f"classification is only supported for k = 3, got k = {skew.k}")
@@ -600,15 +605,8 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
 
     # With tau = sigma t the flow is dh/dtau = -(M / sigma) grad H(h); in t a
     # tiny M underflows the initial speed and a huge one overflows the first step.
-    basis = kernel_basis(skew, opts.kernel_rel_tol)
+    basis = kernel_basis(skew)
     sigma = basis.sigma_max
-    if opts.t_max is None:
-        t_max, horizon = 100.0 * (2.0 * np.pi / sigma), 200.0 * np.pi
-    else:
-        t_max, horizon = opts.t_max, opts.t_max * sigma
-        if not 0.0 < horizon < np.inf:
-            raise InputError(f"t_max = {t_max:.6g} scaled by sigma_max = {sigma:.6g} is not "
-                             f"a positive finite horizon")
     out: list[ExtremalClass | None] = []
     moving = []
     for h0 in starts:
@@ -625,12 +623,20 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
     if not moving:
         return out
 
-    found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving], horizon, opts)
-    for (i, _, residual, warnings), result in zip(moving, found):
+    # In Python floats a horizon past the double range is inf, not a warning.
+    sizes = [math.hypot(*h0) for _, h0, _, _ in moving]
+    horizons = [2.0 * np.pi * _TURNS * max(1.0, size * size) for size in sizes]
+    if not np.isfinite(horizons).all():
+        raise InputError(f"the search horizon {_TURNS} turns of 2 pi max(1, |h0|^2) "
+                         f"overflows at |h0| = {max(sizes):.6g} on H = 1")
+    found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving],
+                   np.array(horizons), opts)
+    for (i, _, residual, warnings), horizon, result in zip(moving, horizons, found):
         if result is None:
             out[i] = ExtremalClass(
                 kind=UNCLASSIFIED, parallel_residual=residual,
-                reason=f"no return within t_max = {t_max:.6g}; likely a tolerance problem",
+                reason=(f"no return within t = {horizon / sigma:.6g}, {_TURNS} turns of "
+                        f"2 pi max(1, |h0|^2) / sigma_max; likely a tolerance problem"),
                 warnings=warnings,
             )
             continue

@@ -249,7 +249,7 @@ def integrate_horizontal(h0, skew: SkewMatrix, body: ControlBody, t1: float,
     """
     opts = opts or IntegrationOptions()
     h0, ts = _output_grid(h0, skew, body, t1, samples)
-    basis = kernel_basis(skew, opts.kernel_rel_tol)
+    basis = kernel_basis(skew)
     rhs = _make_rhs(body, skew.matrix)
     sol = period = None
     if _rank_two_orbit(h0, skew, body, basis):

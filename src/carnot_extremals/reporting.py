@@ -34,34 +34,20 @@ def format_float(value: float) -> str:
     return FLOAT_FORMAT % value
 
 
-def jsonify(obj):
-    """Convert numpy containers/scalars into plain Python equivalents."""
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    return obj
-
-
 def _encode(obj, indent: int, level: int) -> str:
+    """JSON text of obj; NumPy arrays and scalars are written as lists and Python numbers."""
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
@@ -82,7 +68,7 @@ def _encode(obj, indent: int, level: int) -> str:
 
 def dumps_report(report: dict, indent: int = 2) -> str:
     """Serialize a report dict to deterministic JSON text (trailing newline)."""
-    return _encode(jsonify(report), indent, 0) + "\n"
+    return _encode(report, indent, 0) + "\n"
 
 
 def write_report(path, report: dict) -> str:

@@ -233,6 +233,15 @@ def random_body(rng, k, family):
 FAMILIES = ("ellipsoid", "lp_ball", "translated_ellipsoid")
 
 
+def scaled_body(body, c):
+    """The body c U of a body U of random_body's families: its H is c H_U."""
+    if isinstance(body, Ellipsoid):
+        return Ellipsoid(c * c * body.shape_matrix)
+    if isinstance(body, LpBall):
+        return LpBall(p=body.p, radius=c * body.radius)
+    return TranslatedEllipsoid(c * c * body.shape_matrix, c * body.center)
+
+
 def random_covector(rng, k, lo=0.1, hi=10.0, min_component=0.0):
     while True:
         d = rng.standard_normal(k)

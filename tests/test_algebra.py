@@ -182,22 +182,6 @@ class TestKernelBasis:
         np.testing.assert_allclose(denormal.vectors[0], np.array([0.0, 6.0, -1.0]) / np.sqrt(37.0),
                                    atol=1e-15)
 
-    @pytest.mark.parametrize("rel_tol", [1e-20, 0.0, 1.0, 2.0, np.nan])
-    def test_rejects_rel_tol_outside_its_range(self, rel_tol):
-        # Unchecked, 1e-20 leaves this 3 x 3 M without a kernel (leaf_classify
-        # then fails with IndexError) and 2.0 gives it a 3-dimensional one.
-        m = SkewMatrix.from_entries(3, {(1, 2): 1.0, (1, 3): -0.4, (2, 3): 0.3})
-        for skew in (m, SkewMatrix.zero(3)):
-            with pytest.raises(InputError, match="kernel_rel_tol"):
-                kernel_basis(skew, rel_tol)
-            with pytest.raises(InputError, match="kernel_rel_tol"):
-                leaf_classify(skew, [1.0, 0.2, -0.4], rel_tol)
-
-    def test_accepts_the_smallest_rel_tol(self):
-        m = SkewMatrix.from_entries(3, {(1, 2): 1.0, (1, 3): -0.4, (2, 3): 0.3})
-        assert len(kernel_basis(m, 1e-15)) == 1
-        assert leaf_classify(m, [1.0, 0.2, -0.4], 1e-15).kind == "two_dim"
-
 
 def test_casimirs_poisson_commute_with_coordinates():
     # Evaluate {I_a, h_i} through the structure table at the point (h, M):

@@ -512,6 +512,6 @@ def test_lane_field_is_the_row_field_times_minus_m_transposed(monkeypatch):
     for body in _pinned_bodies(rng, 3):
         matrix = random_skew(rng, 3).matrix
         starts = [body.normalize_to_level(random_covector(rng, 3)) for _ in range(2)]
-        flow._first_returns(body, matrix, starts, 1.0, IntegrationOptions())
+        flow._first_returns(body, matrix, starts, np.ones(2), IntegrationOptions())
         hs = np.array([h for h in _pinned_points(rng, body, 3) if np.isfinite(h).all()])
         assert _same_bits(funs[-1](hs), body._level_gradient(hs) @ (-matrix).T), body

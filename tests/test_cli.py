@@ -47,8 +47,10 @@ class TestConfigParsing:
         (lambda d: d.update(samples=0), "samples"),
         (lambda d: d.update(tolerances={"rtol": -1.0}), "rtol"),
         (lambda d: d.update(tolerances={"unknown_tol": 1.0}), "tolerances"),
-        (lambda d: d.update(tolerances={"kernel_rel_tol": 1e-20}), "kernel_rel_tol"),
-        (lambda d: d.update(tolerances={"kernel_rel_tol": 1.0}), "kernel_rel_tol"),
+        pytest.param(lambda d: d.update(tolerances={"kernel_rel_tol": 1e-10}),
+                     r"unknown keys \['kernel_rel_tol'\]", id="retired_kernel_rel_tol"),
+        pytest.param(lambda d: d.update(tolerances={"t_max": 100.0}),
+                     r"unknown keys \['t_max'\]", id="retired_t_max"),
         (lambda d: d.update(body={"type": "lp_ball", "p": 1.0}), "body"),
         (lambda d: d.update(body={"type": "cube"}), "body"),
         (lambda d: d.pop("h0"), "h0"),
@@ -100,7 +102,7 @@ class TestExitCodes:
                          (dict(BALL3_CFG, tolerances={"method": "RK45"}), "method"),
                          *((dict(BALL3_CFG, tolerances={key: 1e-3}), key)
                            for key in ("parallel_tol", "parallel_warn_band", "capture_radius",
-                                       "return_residual_tol"))):
+                                       "return_residual_tol", "kernel_rel_tol", "t_max"))):
             code, _ = run(tmp_path, "integrate", doc)
             assert code == 2
             err = capsys.readouterr().err

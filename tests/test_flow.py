@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import json
 import logging
@@ -39,6 +40,7 @@ from oracles import (
     random_covector,
     random_skew,
     random_spd,
+    scaled_body,
     so3_kernel_direction,
 )
 
@@ -713,17 +715,21 @@ class TestClassifySweep:
             assert outcome.parallel_residual == single.parallel_residual
             assert outcome.warnings == single.warnings
 
-    def test_short_horizon_leaves_one_lane_unclassified(self):
+    def test_short_horizon_leaves_one_lane_unclassified(self, monkeypatch):
+        # On the unit l4 ball |h0| <= 1, so the horizon is 2 pi _TURNS / sigma_max
+        # for every start; a fractional turn count puts it between the two
+        # longest periods.
         body = LpBall(p=4.0)
         m = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.5, (2, 3): 0.3})
         h0s = [[0.9, -0.1, 0.3], [0.2, 0.9, -0.4], [0.5, 0.5, 0.7], [-0.3, 0.1, 0.95]]
         periods = sorted(classify_k3(h0, m, body).period for h0 in h0s)
         assert periods[-1] - periods[-2] > 1e-2 * periods[-1]
-        opts = IntegrationOptions(t_max=0.5 * (periods[-2] + periods[-1]))
-        outcomes = classify_sweep(h0s, m, body, opts)
+        sigma = kernel_basis(m).sigma_max
+        monkeypatch.setattr(flow, "_TURNS", 0.25 * (periods[-2] + periods[-1]) * sigma / np.pi)
+        outcomes = classify_sweep(h0s, m, body)
         slow = [o for o in outcomes if o.kind == "unclassified"]
         assert len(slow) == 1 and [o.kind for o in outcomes].count("periodic") == 3
-        single = classify_k3(h0s[outcomes.index(slow[0])], m, body, opts)
+        single = classify_k3(h0s[outcomes.index(slow[0])], m, body)
         assert single.kind == "unclassified" and slow[0].reason == single.reason
 
     def test_periods_scale_as_one_over_the_scale_of_m(self):
@@ -741,7 +747,7 @@ class TestClassifySweep:
     def test_horizon_around_the_return(self, factor, returns):
         # the far side is at t = pi, so 0.99 of a period cuts the return
         found, = flow._first_returns(BALL3, ROT12.matrix, [[1.0, 0.0, 0.0]],
-                                     factor * 2.0 * np.pi, IntegrationOptions())
+                                     np.array([factor * 2.0 * np.pi]), IntegrationOptions())
         assert (found is not None) == returns
         if returns:
             assert abs(found.period - 2.0 * np.pi) <= 1e-12 and found.residual <= 1e-12
@@ -854,29 +860,47 @@ class TestLanes:
 
 @pytest.mark.parametrize("entry", ["classify_k3", "classify_sweep"])
 def test_both_searches_check_the_horizon_scaled_by_sigma_max(entry):
-    # Both searches run to t_max * sigma_max on the flow of M / sigma_max.
-    # Where that product under- or overflows, both refuse it alike.
-    def run(h0, skew, opts=None):
+    # Both searches run on the flow of M / sigma_max, for _TURNS turns of
+    # 2 pi max(1, |h0|^2) in its time.
+    def run(h0, skew, body=LpBall(p=3.0)):
         if entry == "classify_k3":
-            return classify_k3(h0, skew, LpBall(p=3.0), opts)
-        return classify_sweep([h0, h0], skew, LpBall(p=3.0), opts)[0]
+            return classify_k3(h0, skew, body)
+        return classify_sweep([h0, h0], skew, body)[0]
 
     m = SkewMatrix.from_entries(3, {(1, 2): 0.8, (1, 3): -0.5, (2, 3): 0.3})
     h0 = [1.0, 0.2, -0.4]
-    for lam, t_max in ((1e300, 1e10), (1e-300, 1e-30)):
-        with pytest.raises(InputError, match="t_max.*sigma_max"):
-            run(h0, SkewMatrix(lam * m.matrix), IntegrationOptions(t_max=t_max))
-    # The default horizon is 100 periods of 2 pi / sigma_max, which is inf in
-    # t for this M, but 200 pi in the scaled time of the search.
+    # The horizon is inf in t for this M, but 200 pi in the scaled time.
     base, tiny = run(h0, m), run(h0, SkewMatrix(1e-307 * m.matrix))
     assert tiny.kind == "periodic"
     assert abs(tiny.period * 1e-307 - base.period) <= 1e-7 * base.period
+    # On H = 1 of this ball |h0| is about 1e160, so the horizon overflows;
+    # both searches refuse it alike.
+    with pytest.raises(InputError, match="horizon.*overflows"):
+        run(h0, m, LpBall(p=3.0, radius=1e-160))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_periods_scale_as_one_over_the_square_of_the_body_scale(family):
+    # The body c U has H = c H_U, so its starts are those of U divided by c
+    # and its periods T(U) / c^2.  The horizon scales as |h0|^2 does, so
+    # bodies far below unit size classify too.
+    rng = np.random.default_rng(37)
+    body = random_body(rng, 3, family)
+    m = random_skew(rng, 3)
+    h0s = [random_covector(rng, 3) for _ in range(3)]
+    single = classify_k3(h0s[0], m, body).period
+    sweep = [o.period for o in classify_sweep(h0s, m, body)]
+    for c in 10.0 ** np.arange(-3, 4):
+        scaled = scaled_body(body, c)
+        outcomes = [classify_k3(h0s[0], m, scaled)] + classify_sweep(h0s, m, scaled)
+        assert [o.kind for o in outcomes] == ["periodic"] * 4, c
+        for outcome, period in zip(outcomes, [single] + sweep):
+            assert abs(outcome.period * c * c - period) <= 1e-10 * period, c
 
 
 @pytest.mark.parametrize("field,value", [
     ("rtol", -1.0), ("rtol", 1e-16), ("atol", 0.0), ("max_drift", np.inf),
-    ("kernel_rel_tol", 1e-20), ("kernel_rel_tol", 2.0), ("atol", np.nan),
-    ("t_max", "wide"), ("t_max", 0.0), ("rtol", True), ("max_drift", "1e-7"),
+    ("atol", np.nan), ("rtol", True), ("max_drift", "1e-7"),
 ])
 def test_options_reject_bad_values(field, value):
     with pytest.raises(InputError, match=field):
@@ -884,11 +908,11 @@ def test_options_reject_bad_values(field, value):
 
 
 def test_options_accept_their_edge_values():
-    opts = IntegrationOptions(rtol=100.0 * np.finfo(float).eps, kernel_rel_tol=1e-15)
-    assert opts.t_max is None and opts.kernel_rel_tol == 1e-15
+    assert [f.name for f in dataclasses.fields(IntegrationOptions)] == ["rtol", "atol", "max_drift"]
+    assert IntegrationOptions(rtol=100.0 * np.finfo(float).eps).rtol == 100.0 * np.finfo(float).eps
     # other real numbers are stored as floats
-    opts = IntegrationOptions(t_max=np.int64(5), max_drift=np.float32(0.5))
-    assert type(opts.t_max) is float and type(opts.max_drift) is float
+    opts = IntegrationOptions(atol=np.int64(1), max_drift=np.float32(0.5))
+    assert type(opts.atol) is float and type(opts.max_drift) is float
 
 
 _UNIT = st.floats(-1.0, 1.0)

@@ -162,3 +162,12 @@ def test_report_strings_escape_to_fixed_bytes():
     odd = {"b\bf\f": ["\b", "\f"]}
     assert dumps_report(odd) == '{\n  "b\\bf\\f": [\n    "\\b",\n    "\\f"\n  ]\n}\n'
     assert json.loads(dumps_report(odd)) == odd
+
+
+def test_numpy_values_write_as_their_python_equals():
+    plain = {"flag": True, "n": 7, "x": [0.1, 0.5], "rows": [[1.0, 2.5], [3.0, 4.0]],
+             "bits": [True, False], "zero_d": 2.0, "pair": [1, 2]}
+    numpy = {"flag": np.bool_(True), "n": np.int64(7), "x": [np.float64(0.1), np.float32(0.5)],
+             "rows": np.array([[1.0, 2.5], [3.0, 4.0]]), "bits": np.array([True, False]),
+             "zero_d": np.array(2.0), "pair": (np.int32(1), 2)}
+    assert dumps_report(numpy) == dumps_report(plain)
