@@ -84,6 +84,10 @@ class ControlBody(abc.ABC):
     @abc.abstractmethod
     def _level_gradient_at(self, h: np.ndarray) -> np.ndarray: ...
 
+    @abc.abstractmethod
+    def _reach(self, k: int) -> float:
+        """A bound R >= |h| over the level set H = 1 in R^k, in closed form."""
+
     def validate(self) -> ValidationReport:
         return ValidationReport(tuple(self.violations()))
 
@@ -204,6 +208,10 @@ class Ellipsoid(ControlBody):
     def _level_gradient_at(self, h):
         return self.shape_matrix.dot(h)
 
+    def _reach(self, k):
+        # H(h) >= sqrt(lambda_min(A)) |h|, with equality along its eigenvector.
+        return 1.0 / math.sqrt(float(np.linalg.eigvalsh(self.shape_matrix)[0]))
+
 
 @dataclass(frozen=True, eq=False)
 class LpBall(ControlBody):
@@ -293,6 +301,10 @@ class LpBall(ControlBody):
             out.append(r * w if v >= 0.0 else -r * w)
         return np.array(out)
 
+    def _reach(self, k):
+        # |h|_2 <= k^(1/2 - 1/q) |h|_q for q >= 2, and |h|_2 <= |h|_q for q <= 2.
+        return k ** max(0.0, 0.5 - 1.0 / self.q) / self.radius
+
 
 @dataclass(frozen=True, eq=False)
 class TranslatedEllipsoid(ControlBody):
@@ -356,6 +368,13 @@ class TranslatedEllipsoid(ControlBody):
         # Not rescaled like the rows: the solver only evaluates it near H = 1.
         ah = self.shape_matrix.dot(h)
         return self.center + ah / math.sqrt(float(h.dot(ah)))
+
+    def _reach(self, k):
+        # <c, h> >= -sqrt(c^T A^-1 c) sqrt(h^T A h) (Cauchy-Schwarz in the metric
+        # of A), so H(h) >= (1 - sqrt(c^T A^-1 c)) sqrt(lambda_min(A)) |h|.
+        a, c = self.shape_matrix, self.center
+        depth = math.sqrt(float(c @ np.linalg.solve(a, c)))
+        return 1.0 / ((1.0 - depth) * math.sqrt(float(np.linalg.eigvalsh(a)[0])))
 
 
 BODY_KINDS = {cls.kind: cls for cls in (Ellipsoid, LpBall, TranslatedEllipsoid)}

@@ -10,7 +10,10 @@ Skew symmetry makes H a first integral, and every a in ker M yields a linear
 integral I_a(h) = <a, h>.  For k = 3 a nonconstant solution traverses the
 closed planar curve {H = 1} intersected with {I_a = const} monotonically, so
 it is periodic and its period is the first-return time; classification
-reduces to a parallelism test plus return detection.
+reduces to a parallelism test plus return detection.  On an ellipsoid the
+solver's field is linear, dh/dt = -M A h, and every nonconstant orbit has
+the exact period 2 pi / omega, with +-i omega the nonzero eigenvalues of
+-M A: its classification is in closed form, with no search.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .algebra import CasimirBasis, SkewMatrix, kernel_basis
-from .bodies import ControlBody
+from .bodies import ControlBody, Ellipsoid
 from .dop853 import _dense_rows, _dense_values, _Lanes, _solve
 from .errors import (
     DriftExceededError,
@@ -55,11 +58,13 @@ _CAPTURE_RADIUS = 1e-3
 _PARALLEL_TOL = 1e-9
 _PARALLEL_WARN_BAND = 1e-6
 _RETURN_RESIDUAL_TOL = 1e-8
-# The classify search runs for _TURNS turns of 2 pi max(1, |h0|^2) in the
-# time tau = sigma_max t, h0 on H = 1.  On a ball of radius rho <= 1, where
-# |h0| = 1 / rho, an orbit turns once in 2 pi |h0|^2, and scaling a body by c
-# scales the periods by 1 / c^2, as |h0|^2 does.  Bodies of unit size or more
-# keep the horizon 2 pi _TURNS.
+# The classify search runs for _TURNS turns of 2 pi max(1, R^2) in the time
+# tau = sigma_max t, R >= |h| on H = 1 the body's reach (ControlBody._reach).
+# On a ball of radius rho <= 1, where R = 1 / rho, an orbit turns once in
+# 2 pi R^2, and scaling a body by c scales the periods by 1 / c^2, as R^2
+# does.  An orbit runs slowest where |h| is largest, so one bound over the
+# whole level set also serves orbits far out from their start.  A reach of
+# at most 1 keeps the horizon 2 pi _TURNS.
 _TURNS = 100
 
 
@@ -539,6 +544,41 @@ def _detect_each(body: ControlBody, matrix: np.ndarray, starts, horizons: np.nda
     return found
 
 
+def _linear_returns(body: Ellipsoid, matrix: np.ndarray, starts, horizons: np.ndarray,
+                    opts: IntegrationOptions) -> list[PeriodResult | None]:
+    """First returns of the linear flow dh/dt = L h, L = -matrix A, in closed form.
+
+    On an ellipsoid grad(H^2 / 2) = A h, so the solver's field is linear.
+    For a 3 x 3 skew ``matrix`` L has trace 0 and determinant 0, so its
+    eigenvalues are 0 and +-i omega, with omega^2 the sum of the principal
+    2 x 2 minors of L (det A n^T A^-1 n, n the unit axis of the matrix), and
+    every nonconstant orbit has the period tau = 2 pi / omega.  By
+    Rodrigues' formula the flow map is E = I + (sin omega tau / omega) L +
+    ((1 - cos omega tau) / omega^2) L^2, and the residual is ||E h0 - h0||:
+    the miss that tau carries from its rounding.  A start whose horizon
+    falls short of tau gives None; ``opts`` is not used, as nothing is
+    integrated.  One debug log line, a JSON object, gives omega and tau.
+    """
+    lin = -matrix.dot(body.shape_matrix)
+    # L / 2^e and omega / 2^e, scaled exactly by a power of two, so that
+    # omega^2 and L^2 neither under- nor overflow; E - I is the same in them.
+    e = int(np.frexp(np.abs(lin).max())[1])
+    unit = np.ldexp(lin, -e)
+    (l00, l01, l02), (l10, l11, l12), (l20, l21, l22) = unit.tolist()
+    w = math.sqrt(l00 * l11 - l01 * l10 + l00 * l22 - l02 * l20 + l11 * l22 - l12 * l21)
+    omega = math.ldexp(w, e)
+    tau = 2.0 * math.pi / omega
+    turn = omega * tau
+    lh = np.array(starts).dot(unit.T)
+    misses = math.sin(turn) / w * lh + (1.0 - math.cos(turn)) / w**2 * lh.dot(unit.T)
+    found = [PeriodResult(period=tau, residual=float(miss)) if tau <= horizon else None
+             for miss, horizon in zip(np.linalg.norm(misses, axis=1), horizons)]
+    logger.debug(json.dumps({"event": "closed_form_return", "covectors": len(found),
+                             "omega": omega, "period": tau,
+                             "returns": sum(r is not None for r in found)}))
+    return found
+
+
 def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
                 opts: IntegrationOptions | None = None) -> ExtremalClass:
     """Constant/periodic dichotomy of the vertical extremal for k = 3.
@@ -548,12 +588,14 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     grad H(h0) is parallel to a (the extremum points of I_a on the level set
     H = 1 are the equilibria); the relative off-parallel residual is
     compared against _PARALLEL_TOL.  Nonconstant solutions are closed
-    curves and are classified by first-return detection (``detect_period``).
-    The axis a and sigma_max come from one scale-free kernel_basis call, and
-    the flow runs on M / sigma_max in time units of 1 / sigma_max, so the
-    outcome does not depend on the scale of M and T(lambda M) = T(M) / lambda.
-    The search gives up after _TURNS turns of 2 pi max(1, |h0|^2) in those
-    units, which scales with the body as its periods do.
+    curves.  On an ellipsoid the period is exact, 2 pi / omega in closed
+    form, with no search (``_linear_returns``); on other bodies it comes
+    from first-return detection (``detect_period``).  The axis a and
+    sigma_max come from one scale-free kernel_basis call, and the flow runs
+    on M / sigma_max in time units of 1 / sigma_max, so the outcome does not
+    depend on the scale of M and T(lambda M) = T(M) / lambda.  The search
+    gives up after _TURNS turns of 2 pi max(1, R^2) in those units, R the
+    body's reach on H = 1, which scales with the body as its periods do.
 
     Residuals inside (_PARALLEL_TOL, _PARALLEL_WARN_BAND] attach a warning:
     that close to the constant branch the return time becomes
@@ -567,7 +609,9 @@ def classify_sweep(h0s, skew: SkewMatrix, body: ControlBody,
     """``classify_k3`` for every covector of h0s, with one batched search.
 
     The checks, the parallel test, the warnings and the unclassified reasons
-    are those of ``classify_k3``.  The nonconstant covectors then go through
+    are those of ``classify_k3``.  On an ellipsoid every nonconstant
+    covector gets the exact period 2 pi / omega with no search, as in
+    ``classify_k3``.  On other bodies the nonconstant covectors go through
     one sectioned search (``_first_returns``): rays from a point inside each
     orbit cut it into _ARCS arcs, and every arc of every covector is a lane
     of one DOP853 integration, which pays the Python cost of a step once for
@@ -589,9 +633,11 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
 
     ``search(body, matrix, starts, horizons, opts)`` returns one
     PeriodResult, or None where no return came by its horizon, for each
-    start, on the flow of ``matrix`` = M / sigma_max.  A start's horizon is
-    _TURNS turns of 2 pi max(1, |h0|^2) in the time of that flow; one that
-    overflows raises InputError before any search.
+    start, on the flow of ``matrix`` = M / sigma_max.  An ellipsoid, whose
+    flow is linear, takes the closed form ``_linear_returns`` in place of
+    ``search``.  The horizon is _TURNS turns of 2 pi max(1, R^2) in the
+    time of that flow, R the body's reach on H = 1; one that overflows
+    raises InputError before any search.
     """
     if skew.k != 3:
         raise UnsupportedRankError(f"classification is only supported for k = 3, got k = {skew.k}")
@@ -624,19 +670,22 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
         return out
 
     # In Python floats a horizon past the double range is inf, not a warning.
-    sizes = [math.hypot(*h0) for _, h0, _, _ in moving]
-    horizons = [2.0 * np.pi * _TURNS * max(1.0, size * size) for size in sizes]
-    if not np.isfinite(horizons).all():
-        raise InputError(f"the search horizon {_TURNS} turns of 2 pi max(1, |h0|^2) "
-                         f"overflows at |h0| = {max(sizes):.6g} on H = 1")
+    reach = body._reach(skew.k)
+    horizon = 2.0 * math.pi * _TURNS * max(1.0, reach * reach)
+    if not math.isfinite(horizon):
+        raise InputError(f"the search horizon {_TURNS} turns of 2 pi max(1, R^2) "
+                         f"overflows at the body's reach R = {reach:.6g} on H = 1")
+    if isinstance(body, Ellipsoid):
+        search = _linear_returns
     found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving],
-                   np.array(horizons), opts)
-    for (i, _, residual, warnings), horizon, result in zip(moving, horizons, found):
+                   np.full(len(moving), horizon), opts)
+    for (i, _, residual, warnings), result in zip(moving, found):
         if result is None:
             out[i] = ExtremalClass(
                 kind=UNCLASSIFIED, parallel_residual=residual,
                 reason=(f"no return within t = {horizon / sigma:.6g}, {_TURNS} turns of "
-                        f"2 pi max(1, |h0|^2) / sigma_max; likely a tolerance problem"),
+                        f"2 pi max(1, R^2) / sigma_max with R = {reach:.6g} the body's "
+                        f"reach on H = 1; likely a tolerance problem"),
                 warnings=warnings,
             )
             continue

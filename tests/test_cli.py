@@ -476,6 +476,23 @@ class TestDeterminism:
         assert report["seed"] == 7
 
 
+def classify_debug_record(tmp_path, doc) -> dict:
+    """The one JSON debug line of `classify` on doc, run as a module under CARNOT_LOG=debug."""
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnot_extremals", "classify",
+         "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, CARNOT_LOG="debug"),
+    )
+    assert proc.returncode == 0
+    lines = [line for line in proc.stderr.splitlines() if "{" in line]
+    assert len(lines) == 1
+    return json.loads(lines[0][lines[0].index("{"):])
+
+
 class TestEntryPoints:
     def test_log_env_levels_do_not_change_outcomes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARNOT_LOG", "debug")
@@ -499,20 +516,11 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["leaf"] == "two_dim"
 
     def test_debug_log_has_one_json_line_per_batched_sweep(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        cfg = write_cfg(tmp_path, dict(BALL3_CFG, sweep=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "carnot_extremals", "classify",
-             "--config", cfg, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=dict(os.environ, CARNOT_LOG="debug"),
-        )
-        assert proc.returncode == 0
-        lines = [line for line in proc.stderr.splitlines() if "{" in line]
-        assert len(lines) == 1
-        record = json.loads(lines[0][lines[0].index("{"):])
+        # A translated ellipsoid: an ellipsoid sweep is in closed form (below).
+        record = classify_debug_record(tmp_path, dict(
+            BALL3_CFG, body={"type": "translated_ellipsoid", "A": BALL3_CFG["body"]["A"],
+                             "c": [0.0, 0.0, 0.5]},
+            sweep=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]))
         assert record["covectors"] == 2 and record["returns"] == 2
         assert record["arcs"] > record["one_arc"] == 0
         assert min(record["chord_newton"], record["ray_newton"], record["root_newton"]) >= 1
@@ -520,6 +528,14 @@ class TestEntryPoints:
         # and the dense output of its crossing step
         tries = record["accepted_steps"] + record["rejected_steps"]
         assert record["rhs_rows"] == 12 * tries + 5 * record["arcs"]
+
+    def test_debug_log_has_one_json_line_per_closed_form_sweep(self, tmp_path):
+        record = classify_debug_record(
+            tmp_path, dict(BALL3_CFG, sweep=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]))
+        assert set(record) == {"event", "covectors", "omega", "period", "returns"}
+        assert record["event"] == "closed_form_return"
+        assert record["covectors"] == record["returns"] == 2
+        assert record["omega"] == 1.0 and record["period"] == 2.0 * np.pi
 
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         from carnot_extremals import cli

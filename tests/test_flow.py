@@ -22,6 +22,7 @@ from carnot_extremals import (
     IntegrationOptions,
     LpBall,
     SkewMatrix,
+    TranslatedEllipsoid,
     UnsupportedRankError,
     classify_k3,
     classify_sweep,
@@ -46,6 +47,10 @@ from oracles import (
 
 BALL3 = Ellipsoid(np.eye(3))
 ROT12 = SkewMatrix.from_entries(3, {(1, 2): 1.0})
+# The unit ball moved by c = e_3 / 2 along the axis of ROT12, so M c = 0 and
+# the flow is -M h / |h|: a rotation about e_3 at the constant |h| of H = 1,
+# with period 2 pi |h0|.  Unlike BALL3 it takes the sectioned search.
+LIFTED_BALL3 = TranslatedEllipsoid(np.eye(3), np.array([0.0, 0.0, 0.5]))
 
 
 def vertical(h0, skew, body, t1, **kwargs):
@@ -716,7 +721,7 @@ class TestClassifySweep:
             assert outcome.warnings == single.warnings
 
     def test_short_horizon_leaves_one_lane_unclassified(self, monkeypatch):
-        # On the unit l4 ball |h0| <= 1, so the horizon is 2 pi _TURNS / sigma_max
+        # The unit l4 ball has reach 1, so the horizon is 2 pi _TURNS / sigma_max
         # for every start; a fractional turn count puts it between the two
         # longest periods.
         body = LpBall(p=4.0)
@@ -759,11 +764,11 @@ class TestClassifySweep:
             classify_sweep([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], ROT12, BALL3)
 
     def test_debug_log_line_carries_the_work_counters(self, caplog):
-        # [0, 0, 1] is constant, and [0, 0.005, 1] has parallel residual 0.005,
-        # so it is searched as one arc.
+        # [0, 0, 1] is constant, and [0, 0.005, 1] has parallel residual about
+        # 0.0033, so it is searched as one arc.
         with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
             outcomes = classify_sweep([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0],
-                                       [0.0, 0.005, 1.0]], ROT12, BALL3)
+                                       [0.0, 0.005, 1.0]], ROT12, LIFTED_BALL3)
         assert [o.kind for o in outcomes] == ["periodic", "periodic", "constant", "periodic"]
         line = debug_line(caplog)
         assert line["covectors"] == 3 and line["returns"] == 3
@@ -776,14 +781,16 @@ class TestClassifySweep:
 
     def test_sweep_of_one_arc_starts_only(self, caplog):
         # Both starts are within flow._ONE_ARC_BELOW of the constant branch of
-        # the unit ball, where every orbit has period 2 pi.
+        # LIFTED_BALL3, whose orbits have period 2 pi |h0|.
+        h0s = [[0.0, 0.001, 1.0], [0.002, 0.0, 1.0]]
         with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
-            outcomes = classify_sweep([[0.0, 0.001, 1.0], [0.002, 0.0, 1.0]], ROT12, BALL3)
+            outcomes = classify_sweep(h0s, ROT12, LIFTED_BALL3)
         line = debug_line(caplog)
         assert line["arcs"] == line["one_arc"] == line["returns"] == 2
-        for outcome in outcomes:
+        for h0, outcome in zip(h0s, outcomes):
             bar = 1e-13 / outcome.parallel_residual
-            assert abs(outcome.period - 2.0 * np.pi) <= bar * 2.0 * np.pi
+            period = 2.0 * np.pi * np.linalg.norm(LIFTED_BALL3.normalize_to_level(h0))
+            assert abs(outcome.period - period) <= bar * period
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_periods_from_far_off_to_near_the_constant_branch(self, family, caplog):
@@ -807,15 +814,17 @@ class TestClassifySweep:
         residuals = np.array([o.parallel_residual for o in outcomes])
         assert residuals.max() > 5e-2 and residuals.min() < 1e-7
         one_arc = int((residuals < flow._ONE_ARC_BELOW).sum())
-        assert 0 < one_arc < len(h0s) and debug_line(caplog)["one_arc"] == one_arc
+        assert 0 < one_arc < len(h0s)
+        if family != "ellipsoid":   # an ellipsoid's period is in closed form, with no arcs
+            assert debug_line(caplog)["one_arc"] == one_arc
         for h0, outcome in zip(h0s, outcomes):
             single = classify_k3(h0, m, body)
             assert outcome.kind == single.kind == "periodic"
             assert outcome.return_residual <= 1e-8
             if family == "ellipsoid":
+                # exact at every residual: the closed form is not ill-conditioned
                 oracle = ellipsoid_period(m.matrix, body.shape_matrix)
-                bar = max(1e-12, 1e-13 / outcome.parallel_residual)
-                assert abs(outcome.period - oracle) <= bar * oracle
+                assert abs(outcome.period - oracle) <= 1e-13 * oracle
             else:
                 oracle = first_return(body, m.matrix, h0, single.period)[0]
             bar = max(1e-10, 1e-13 / outcome.parallel_residual,
@@ -861,7 +870,7 @@ class TestLanes:
 @pytest.mark.parametrize("entry", ["classify_k3", "classify_sweep"])
 def test_both_searches_check_the_horizon_scaled_by_sigma_max(entry):
     # Both searches run on the flow of M / sigma_max, for _TURNS turns of
-    # 2 pi max(1, |h0|^2) in its time.
+    # 2 pi max(1, R^2) in its time, R the body's reach on H = 1.
     def run(h0, skew, body=LpBall(p=3.0)):
         if entry == "classify_k3":
             return classify_k3(h0, skew, body)
@@ -873,8 +882,8 @@ def test_both_searches_check_the_horizon_scaled_by_sigma_max(entry):
     base, tiny = run(h0, m), run(h0, SkewMatrix(1e-307 * m.matrix))
     assert tiny.kind == "periodic"
     assert abs(tiny.period * 1e-307 - base.period) <= 1e-7 * base.period
-    # On H = 1 of this ball |h0| is about 1e160, so the horizon overflows;
-    # both searches refuse it alike.
+    # This ball's reach is 1e160, so the horizon overflows; both searches
+    # refuse it alike.
     with pytest.raises(InputError, match="horizon.*overflows"):
         run(h0, m, LpBall(p=3.0, radius=1e-160))
 
@@ -882,7 +891,7 @@ def test_both_searches_check_the_horizon_scaled_by_sigma_max(entry):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_periods_scale_as_one_over_the_square_of_the_body_scale(family):
     # The body c U has H = c H_U, so its starts are those of U divided by c
-    # and its periods T(U) / c^2.  The horizon scales as |h0|^2 does, so
+    # and its periods T(U) / c^2.  The horizon scales as R^2 does, so
     # bodies far below unit size classify too.
     rng = np.random.default_rng(37)
     body = random_body(rng, 3, family)
@@ -896,6 +905,67 @@ def test_periods_scale_as_one_over_the_square_of_the_body_scale(family):
         assert [o.kind for o in outcomes] == ["periodic"] * 4, c
         for outcome, period in zip(outcomes, [single] + sweep):
             assert abs(outcome.period * c * c - period) <= 1e-10 * period, c
+
+
+@pytest.mark.parametrize("center,entries,h0", [
+    ([0.36404, 0.532103, -0.757853], (0.560168, -2.095382, -1.135489),
+     [0.094756, 0.061354, -0.020897]),
+    ([-0.760324, 0.582106, 0.270295], (2.411396, 0.031218, 0.304257),
+     [-0.051442, 0.472586, 0.535446]),
+])
+def test_orbits_far_out_from_their_start_classify(center, entries, h0):
+    # With A = I and c^T c = 0.99, H = 1 reaches out to |h| = 1 / (1 - |c|),
+    # about 200, along -c.  These orbits start at |h0| of 0.58 and 0.61 but
+    # turn slowly far out: their periods are 290 and 128 turns of
+    # 2 pi max(1, |h0|^2) / sigma_max.  The horizon comes from the body's
+    # reach, not from |h0|, so both searches find the return.
+    c = np.array(center)
+    body = TranslatedEllipsoid(np.eye(3), c * np.sqrt(0.99) / np.linalg.norm(c))
+    m = SkewMatrix.from_entries(3, {(1, 2): entries[0], (1, 3): entries[1], (2, 3): entries[2]})
+    start = body.normalize_to_level(h0)
+    for outcome in [classify_k3(h0, m, body)] + classify_sweep([h0, h0], m, body):
+        assert outcome.kind == "periodic"
+        period, residual, closest = first_return(body, m.matrix, start, outcome.period)
+        assert residual <= 1e-8 and closest > 1e-3
+        assert abs(outcome.period - period) <= 1e-9 * period
+
+
+def test_dop853_searches_match_the_linear_oracle_on_ellipsoids():
+    # classify takes the closed form on ellipsoids, so both DOP853 searches
+    # are checked on them here, against 2 pi / omega from np.linalg.eigvals.
+    rng = np.random.default_rng(38)
+    opts = IntegrationOptions()
+    for _ in range(4):
+        body = Ellipsoid(random_spd(rng, 3))
+        m = random_skew(rng, 3)
+        matrix = m.matrix / kernel_basis(m).sigma_max
+        starts = [body.normalize_to_level(random_covector(rng, 3)) for _ in range(4)]
+        horizons = np.full(4, 2.0 * np.pi * flow._TURNS * max(1.0, body._reach(3) ** 2))
+        expected = ellipsoid_period(matrix, body.shape_matrix)
+        for search in (flow._detect_each, flow._first_returns):
+            for found in search(body, matrix, starts, horizons, opts):
+                assert abs(found.period - expected) <= 1e-9 * expected
+                assert found.residual <= 1e-8
+
+
+def test_ellipsoids_classify_with_no_integration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ellipsoid classification integrated")
+
+    monkeypatch.setattr(flow, "_solve", refuse)
+    monkeypatch.setattr(flow, "_Lanes", refuse)
+    rng = np.random.default_rng(39)
+    base = Ellipsoid(random_spd(rng, 3))
+    m = random_skew(rng, 3)
+    h0s = [random_covector(rng, 3) for _ in range(4)]
+    # At c = 1e100 the entries of c^2 A square past the double range.
+    for c in (1.0, 1e100):
+        body = scaled_body(base, c)
+        expected = ellipsoid_period(m.matrix, body.shape_matrix)
+        for outcome in [classify_k3(h0s[0], m, body)] + classify_sweep(h0s, m, body):
+            assert outcome.kind == "periodic"
+            assert abs(outcome.period - expected) <= 1e-13 * expected
+            assert outcome.return_residual <= 1e-14
 
 
 @pytest.mark.parametrize("field,value", [
