@@ -177,9 +177,9 @@ def _classification_report(h0: np.ndarray, outcome) -> dict:
 def cmd_classify(config: RunConfig) -> tuple[dict, int]:
     """Constant/periodic classification (k = 3 only).
 
-    On an ellipsoid every period is exact, 2 pi / omega in closed form, with
-    no search, for a single h0 and a sweep alike.  On other bodies the input
-    size picks the first-return search.  A single h0, or a sweep
+    On an ellipsoid or a translated ellipsoid every period is exact, in
+    closed form with no search, for a single h0 and a sweep alike.  On lp
+    balls the input size picks the first-return search.  A single h0, or a sweep
     of one, runs classify_k3 and its search on one DOP853 trajectory.  A sweep
     of two or more covectors runs classify_sweep, which cuts every orbit
     into arcs and steps all arcs of all covectors as the lanes of one

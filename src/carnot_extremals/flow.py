@@ -10,10 +10,13 @@ Skew symmetry makes H a first integral, and every a in ker M yields a linear
 integral I_a(h) = <a, h>.  For k = 3 a nonconstant solution traverses the
 closed planar curve {H = 1} intersected with {I_a = const} monotonically, so
 it is periodic and its period is the first-return time; classification
-reduces to a parallelism test plus return detection.  On an ellipsoid the
-solver's field is linear, dh/dt = -M A h, and every nonconstant orbit has
-the exact period 2 pi / omega, with +-i omega the nonzero eigenvalues of
--M A: its classification is in closed form, with no search.
+reduces to a parallelism test plus return detection.  On an ellipsoid or a
+translated ellipsoid, H(h) = <c, h> + sqrt(h^T A h), the flow on H = 1 is
+affine in the clock ds = dt / sqrt(h^T A h): dh/ds = -M ((A - c c^T) h + c).
+Every nonconstant orbit then turns once in s = 2 pi / omega, with +-i omega
+the nonzero eigenvalues of -M (A - c c^T), and takes the time
+T = 2 pi (1 - <c, h*>) / omega, h* the centre of its orbit: the
+classification of both families is in closed form, with no search.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .algebra import CasimirBasis, SkewMatrix, kernel_basis
-from .bodies import ControlBody, Ellipsoid
+from .bodies import ControlBody, Ellipsoid, TranslatedEllipsoid
 from .dop853 import _dense_rows, _dense_values, _Lanes, _solve
 from .errors import (
     DriftExceededError,
@@ -355,6 +358,12 @@ _COS, _SIN = (f(2.0 * np.pi * np.arange(_ARCS) / _ARCS) for f in (np.cos, np.sin
 _ONE_ARC_BELOW = 1e-2
 
 
+def _unit_axis(matrix: np.ndarray) -> np.ndarray:
+    """The unit vector spanning the kernel of a nonzero 3 x 3 skew matrix."""
+    axis = np.array([matrix[1, 2], -matrix[0, 2], matrix[0, 1]])
+    return axis / np.linalg.norm(axis)
+
+
 def _first_returns(body: ControlBody, matrix: np.ndarray, starts, horizons: np.ndarray,
                    opts: IntegrationOptions) -> list[PeriodResult | None]:
     """First returns of dh/dt = -matrix grad(H^s / s) from every start, as arcs.
@@ -385,8 +394,7 @@ def _first_returns(body: ControlBody, matrix: np.ndarray, starts, horizons: np.n
     object, gives the work counters.
     """
     h0 = np.array(starts, dtype=float)
-    axis = np.array([matrix[1, 2], -matrix[0, 2], matrix[0, 1]])
-    axis /= np.linalg.norm(axis)
+    axis = _unit_axis(matrix)
     grad = body._gradient(h0)
     outward = grad - np.outer(grad.dot(axis), axis)
     size = np.linalg.norm(outward, axis=1)
@@ -544,22 +552,36 @@ def _detect_each(body: ControlBody, matrix: np.ndarray, starts, horizons: np.nda
     return found
 
 
-def _linear_returns(body: Ellipsoid, matrix: np.ndarray, starts, horizons: np.ndarray,
-                    opts: IntegrationOptions) -> list[PeriodResult | None]:
-    """First returns of the linear flow dh/dt = L h, L = -matrix A, in closed form.
+def _closed_form_returns(body: Ellipsoid | TranslatedEllipsoid, matrix: np.ndarray, starts,
+                         horizons: np.ndarray, opts: IntegrationOptions) -> list[PeriodResult]:
+    """First returns of an ellipsoidal body's flow dh/dt = -matrix grad H(h), in closed form.
 
-    On an ellipsoid grad(H^2 / 2) = A h, so the solver's field is linear.
-    For a 3 x 3 skew ``matrix`` L has trace 0 and determinant 0, so its
-    eigenvalues are 0 and +-i omega, with omega^2 the sum of the principal
-    2 x 2 minors of L (det A n^T A^-1 n, n the unit axis of the matrix), and
-    every nonconstant orbit has the period tau = 2 pi / omega.  By
-    Rodrigues' formula the flow map is E = I + (sin omega tau / omega) L +
-    ((1 - cos omega tau) / omega^2) L^2, and the residual is ||E h0 - h0||:
-    the miss that tau carries from its rounding.  A start whose horizon
-    falls short of tau gives None; ``opts`` is not used, as nothing is
-    integrated.  One debug log line, a JSON object, gives omega and tau.
+    With H(h) = <c, h> + sqrt(h^T A h), c = 0 on an ellipsoid, H = 1 gives
+    sqrt(h^T A h) = 1 - <c, h>, so on the clock ds = dt / sqrt(h^T A h) the
+    flow is affine: dh/ds = L h - N c, with N = ``matrix``, L = -N B and
+    B = A - c c^T, positive definite as c^T A^-1 c < 1.  For a 3 x 3 skew N,
+    L has trace 0 and determinant 0, so its eigenvalues are 0 and +-i omega,
+    with omega^2 the sum of the principal 2 x 2 minors of L (det B n^T B^-1 n,
+    n the unit axis of N), and every nonconstant orbit turns once about its
+    centre h* in S = 2 pi / omega.  h* is the fixed point of the flow on the
+    leaf <n, h> = <n, h0>: B h* + c = lambda n, so h* = B^-1 (lambda n - c).
+    Over a turn h - h* averages to zero, so the period is
+    T = int_0^S sqrt(h^T A h) ds = S (1 - <c, h*>).  By Rodrigues' formula the
+    flow map over S is h -> h* + E (h - h*), E = I + (sin omega S / omega) L +
+    ((1 - cos omega S) / omega^2) L^2, and the residual is ||(E - I)(h0 - h*)||,
+    with L (h0 - h*) = L h0 - N c: the miss that S carries from its rounding.
+    On an ellipsoid T = S = 2 pi / omega and the residual is ||E h0 - h0||.
+
+    As omega^2 >= lambda_min(B)^2 >= (lambda_min(A) (1 - d^2))^2, with
+    d^2 = c^T A^-1 c, and sqrt(h^T A h) <= 1 / (1 - d) on H = 1, every T is
+    at most 2 pi R^2 / (1 + d), R the body's reach: inside every classify
+    horizon, so ``horizons`` is not used, nor is ``opts``, as nothing is
+    integrated.  One debug log line, a JSON object, gives omega and S.
     """
-    lin = -matrix.dot(body.shape_matrix)
+    a = body.shape_matrix
+    c = body.center if isinstance(body, TranslatedEllipsoid) else np.zeros(3)
+    b = a - np.outer(c, c)
+    lin = -matrix.dot(b)
     # L / 2^e and omega / 2^e, scaled exactly by a power of two, so that
     # omega^2 and L^2 neither under- nor overflow; E - I is the same in them.
     e = int(np.frexp(np.abs(lin).max())[1])
@@ -569,13 +591,16 @@ def _linear_returns(body: Ellipsoid, matrix: np.ndarray, starts, horizons: np.nd
     omega = math.ldexp(w, e)
     tau = 2.0 * math.pi / omega
     turn = omega * tau
-    lh = np.array(starts).dot(unit.T)
-    misses = math.sin(turn) / w * lh + (1.0 - math.cos(turn)) / w**2 * lh.dot(unit.T)
-    found = [PeriodResult(period=tau, residual=float(miss)) if tau <= horizon else None
-             for miss, horizon in zip(np.linalg.norm(misses, axis=1), horizons)]
+    starts = np.array(starts)
+    v = starts.dot(unit.T) - np.ldexp(matrix.dot(c), -e)
+    misses = math.sin(turn) / w * v + (1.0 - math.cos(turn)) / w**2 * v.dot(unit.T)
+    axis = _unit_axis(matrix)
+    bn, bc = np.linalg.solve(b, np.stack([axis, c], axis=1)).T
+    centres = np.outer((starts.dot(axis) + axis.dot(bc)) / axis.dot(bn), bn) - bc
+    found = [PeriodResult(period=float(period), residual=float(miss))
+             for period, miss in zip(tau * (1.0 - centres.dot(c)), np.linalg.norm(misses, axis=1))]
     logger.debug(json.dumps({"event": "closed_form_return", "covectors": len(found),
-                             "omega": omega, "period": tau,
-                             "returns": sum(r is not None for r in found)}))
+                             "omega": omega, "period": tau, "returns": len(found)}))
     return found
 
 
@@ -588,9 +613,10 @@ def classify_k3(h0, skew: SkewMatrix, body: ControlBody,
     grad H(h0) is parallel to a (the extremum points of I_a on the level set
     H = 1 are the equilibria); the relative off-parallel residual is
     compared against _PARALLEL_TOL.  Nonconstant solutions are closed
-    curves.  On an ellipsoid the period is exact, 2 pi / omega in closed
-    form, with no search (``_linear_returns``); on other bodies it comes
-    from first-return detection (``detect_period``).  The axis a and
+    curves.  On an ellipsoid or a translated ellipsoid the period is exact,
+    2 pi (1 - <c, h*>) / omega in closed form, with no search
+    (``_closed_form_returns``); on other bodies it comes from first-return
+    detection (``detect_period``).  The axis a and
     sigma_max come from one scale-free kernel_basis call, and the flow runs
     on M / sigma_max in time units of 1 / sigma_max, so the outcome does not
     depend on the scale of M and T(lambda M) = T(M) / lambda.  The search
@@ -609,9 +635,10 @@ def classify_sweep(h0s, skew: SkewMatrix, body: ControlBody,
     """``classify_k3`` for every covector of h0s, with one batched search.
 
     The checks, the parallel test, the warnings and the unclassified reasons
-    are those of ``classify_k3``.  On an ellipsoid every nonconstant
-    covector gets the exact period 2 pi / omega with no search, as in
-    ``classify_k3``.  On other bodies the nonconstant covectors go through
+    are those of ``classify_k3``.  On an ellipsoid or a translated
+    ellipsoid every nonconstant covector gets its exact period in closed
+    form with no search, bit for bit as in ``classify_k3``.  On other bodies
+    the nonconstant covectors go through
     one sectioned search (``_first_returns``): rays from a point inside each
     orbit cut it into _ARCS arcs, and every arc of every covector is a lane
     of one DOP853 integration, which pays the Python cost of a step once for
@@ -633,11 +660,14 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
 
     ``search(body, matrix, starts, horizons, opts)`` returns one
     PeriodResult, or None where no return came by its horizon, for each
-    start, on the flow of ``matrix`` = M / sigma_max.  An ellipsoid, whose
-    flow is linear, takes the closed form ``_linear_returns`` in place of
-    ``search``.  The horizon is _TURNS turns of 2 pi max(1, R^2) in the
-    time of that flow, R the body's reach on H = 1; one that overflows
-    raises InputError before any search.
+    start, on the flow of ``matrix`` = M / sigma_max.  An ellipsoid or a
+    translated ellipsoid, whose flow is affine on the clock
+    ds = dt / sqrt(h^T A h), takes the closed form ``_closed_form_returns``
+    in place of ``search``.  The horizon is _TURNS turns of 2 pi max(1, R^2)
+    in the time of that flow, R the body's reach on H = 1; one that
+    overflows raises InputError before any search.  The closed form's
+    periods are at most 2 pi R^2, so only a search leaves a start
+    unclassified for want of a return.
     """
     if skew.k != 3:
         raise UnsupportedRankError(f"classification is only supported for k = 3, got k = {skew.k}")
@@ -675,8 +705,8 @@ def _classify(h0s, skew: SkewMatrix, body: ControlBody, opts: IntegrationOptions
     if not math.isfinite(horizon):
         raise InputError(f"the search horizon {_TURNS} turns of 2 pi max(1, R^2) "
                          f"overflows at the body's reach R = {reach:.6g} on H = 1")
-    if isinstance(body, Ellipsoid):
-        search = _linear_returns
+    if isinstance(body, (Ellipsoid, TranslatedEllipsoid)):
+        search = _closed_form_returns
     found = search(body, skew.matrix / sigma, [h0 for _, h0, _, _ in moving],
                    np.full(len(moving), horizon), opts)
     for (i, _, residual, warnings), result in zip(moving, found):

@@ -6,7 +6,9 @@ exponentials instead of the ODE solver, explicit null-space formulas instead
 of the SVD kernel, polygon areas instead of the lifted coordinates, one
 solve of the full chart equations instead of the step-wise quadrature lift,
 a dense solve with root-finding on the distance to h0 instead of the
-event-driven period search, a dense solve of the flow for the control, a
+event-driven period search, the rate of change of leaf areas instead of the
+closed-form period of a translated ellipsoid, a dense solve of the flow for
+the control, a
 bracket table written out from {h_i, h_j} = h_ij for the Lie-Poisson
 identities, and the closed forms of the support functions evaluated in
 decimal arithmetic instead of the floating-point row kernels.
@@ -16,7 +18,7 @@ import decimal
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 from scipy.optimize import brentq
 
 from carnot_extremals import Ellipsoid, LpBall, SkewMatrix, TranslatedEllipsoid
@@ -271,6 +273,36 @@ def aligned_covector(body, a):
     else:
         raise TypeError(f"no closed-form aligned covector for {type(body).__name__}")
     return h / body.support(h)
+
+
+def translated_ellipsoid_period(body, matrix, h0):
+    """Period of dh/dt = -M grad H(h) from h0 on a translated ellipsoid, from leaf areas.
+
+    On the leaf <n, h> = <n, h0> of the axis n of M the flow is Hamiltonian
+    for H with the area form scaled by |m| = |(U^T M U)_12|, U an orthonormal
+    basis of n-perp, so T = (1 / |m|) d/ds Area{h in leaf : H(h) <= s} at
+    s = 1.  With h = p + U x, p = <n, h0> n after scaling h0 to H = 1, and
+    B = A - c c^T, H(h) <= s is the ellipse x^T G x + 2 x^T (U^T B p + s U^T c)
+    + p^T B p + 2 s <c, p> - s^2 <= 0, G = U^T B U, whose area is pi times
+    (b^T G^-1 b - the constant) / sqrt(det G), b its linear coefficient.  Its
+    s-derivative at s = 1 gives
+    T = pi (2 (U^T c)^T G^-1 g - 2 <c, p> + 2) / (|m| sqrt(det G)),
+    g = U^T (B p + c).  A centered ellipsoid is the case c = 0.
+    """
+    a, c = body.shape_matrix, body.center
+    matrix = np.asarray(matrix, dtype=float)
+    h0 = np.asarray(h0, dtype=float)
+    h0 = h0 / (c @ h0 + np.sqrt(h0 @ a @ h0))
+    n = null_space(matrix)[:, 0]
+    u = null_space(n[None])
+    p = (n @ h0) * n
+    b = a - np.outer(c, c)
+    g_mat = u.T @ b @ u
+    g = u.T @ (b @ p + c)
+    m = abs((u.T @ matrix @ u)[0, 1])
+    area_rate = np.pi * (2.0 * (u.T @ c) @ np.linalg.solve(g_mat, g) - 2.0 * (c @ p) + 2.0)
+    # sqrt(det G) as a product of square roots: det G squares the scale of the body.
+    return float(area_rate / (m * np.prod(np.sqrt(np.linalg.eigvalsh(g_mat)))))
 
 
 def first_return(body, matrix, h0, t_guess, rtol=1e-13, atol=1e-15):

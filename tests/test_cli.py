@@ -516,10 +516,9 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["leaf"] == "two_dim"
 
     def test_debug_log_has_one_json_line_per_batched_sweep(self, tmp_path):
-        # A translated ellipsoid: an ellipsoid sweep is in closed form (below).
+        # An lp ball: ellipsoidal sweeps are in closed form (below).
         record = classify_debug_record(tmp_path, dict(
-            BALL3_CFG, body={"type": "translated_ellipsoid", "A": BALL3_CFG["body"]["A"],
-                             "c": [0.0, 0.0, 0.5]},
+            BALL3_CFG, body={"type": "lp_ball", "p": 2.0, "r": 1.0},
             sweep=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]))
         assert record["covectors"] == 2 and record["returns"] == 2
         assert record["arcs"] > record["one_arc"] == 0

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import itertools
 import json
 import logging
 import textwrap
@@ -43,14 +44,15 @@ from oracles import (
     random_spd,
     scaled_body,
     so3_kernel_direction,
+    translated_ellipsoid_period,
 )
 
 BALL3 = Ellipsoid(np.eye(3))
 ROT12 = SkewMatrix.from_entries(3, {(1, 2): 1.0})
-# The unit ball moved by c = e_3 / 2 along the axis of ROT12, so M c = 0 and
-# the flow is -M h / |h|: a rotation about e_3 at the constant |h| of H = 1,
-# with period 2 pi |h0|.  Unlike BALL3 it takes the sectioned search.
-LIFTED_BALL3 = TranslatedEllipsoid(np.eye(3), np.array([0.0, 0.0, 0.5]))
+# The unit ball as an lp ball, H = |h|: under ROT12 its flow on H = 1 is the
+# rotation about e_3 of period exactly 2 pi.  Unlike BALL3 it takes the
+# DOP853 searches.
+L2_BALL3 = LpBall(2.0)
 
 
 def vertical(h0, skew, body, t1, **kwargs):
@@ -768,7 +770,7 @@ class TestClassifySweep:
         # 0.0033, so it is searched as one arc.
         with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
             outcomes = classify_sweep([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0],
-                                       [0.0, 0.005, 1.0]], ROT12, LIFTED_BALL3)
+                                       [0.0, 0.005, 1.0]], ROT12, L2_BALL3)
         assert [o.kind for o in outcomes] == ["periodic", "periodic", "constant", "periodic"]
         line = debug_line(caplog)
         assert line["covectors"] == 3 and line["returns"] == 3
@@ -781,16 +783,15 @@ class TestClassifySweep:
 
     def test_sweep_of_one_arc_starts_only(self, caplog):
         # Both starts are within flow._ONE_ARC_BELOW of the constant branch of
-        # LIFTED_BALL3, whose orbits have period 2 pi |h0|.
+        # L2_BALL3, whose orbits have period 2 pi.
         h0s = [[0.0, 0.001, 1.0], [0.002, 0.0, 1.0]]
         with caplog.at_level(logging.DEBUG, logger="carnot_extremals.flow"):
-            outcomes = classify_sweep(h0s, ROT12, LIFTED_BALL3)
+            outcomes = classify_sweep(h0s, ROT12, L2_BALL3)
         line = debug_line(caplog)
         assert line["arcs"] == line["one_arc"] == line["returns"] == 2
-        for h0, outcome in zip(h0s, outcomes):
+        for outcome in outcomes:
             bar = 1e-13 / outcome.parallel_residual
-            period = 2.0 * np.pi * np.linalg.norm(LIFTED_BALL3.normalize_to_level(h0))
-            assert abs(outcome.period - period) <= bar * period
+            assert abs(outcome.period - 2.0 * np.pi) <= bar * 2.0 * np.pi
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_periods_from_far_off_to_near_the_constant_branch(self, family, caplog):
@@ -815,16 +816,24 @@ class TestClassifySweep:
         assert residuals.max() > 5e-2 and residuals.min() < 1e-7
         one_arc = int((residuals < flow._ONE_ARC_BELOW).sum())
         assert 0 < one_arc < len(h0s)
-        if family != "ellipsoid":   # an ellipsoid's period is in closed form, with no arcs
+        if family == "lp_ball":   # ellipsoidal periods are in closed form, with no arcs
             assert debug_line(caplog)["one_arc"] == one_arc
         for h0, outcome in zip(h0s, outcomes):
             single = classify_k3(h0, m, body)
             assert outcome.kind == single.kind == "periodic"
             assert outcome.return_residual <= 1e-8
-            if family == "ellipsoid":
+            if family != "lp_ball":
                 # exact at every residual: the closed form is not ill-conditioned
-                oracle = ellipsoid_period(m.matrix, body.shape_matrix)
+                if family == "ellipsoid":
+                    oracle = ellipsoid_period(m.matrix, body.shape_matrix)
+                else:
+                    oracle = translated_ellipsoid_period(body, m.matrix, h0)
                 assert abs(outcome.period - oracle) <= 1e-13 * oracle
+                # the residual is the miss of the rounded period about the
+                # orbit's centre, so it shrinks with the orbit, of size about
+                # |h0 - h_eq|
+                for o in (outcome, single):
+                    assert o.return_residual <= 1e-13 * np.linalg.norm(h0 - h_eq)
             else:
                 oracle = first_return(body, m.matrix, h0, single.period)[0]
             bar = max(1e-10, 1e-13 / outcome.parallel_residual,
@@ -931,40 +940,69 @@ def test_orbits_far_out_from_their_start_classify(center, entries, h0):
 
 
 def test_dop853_searches_match_the_linear_oracle_on_ellipsoids():
-    # classify takes the closed form on ellipsoids, so both DOP853 searches
-    # are checked on them here, against 2 pi / omega from np.linalg.eigvals.
+    # classify takes the closed form on both ellipsoidal families, so both
+    # DOP853 searches are checked on them here: against 2 pi / omega from
+    # np.linalg.eigvals on ellipsoids, and against the leaf-area period on
+    # translated ellipsoids.
     rng = np.random.default_rng(38)
     opts = IntegrationOptions()
-    for _ in range(4):
-        body = Ellipsoid(random_spd(rng, 3))
+    for family in ["ellipsoid"] * 4 + ["translated_ellipsoid"] * 4:
+        body = random_body(rng, 3, family)
         m = random_skew(rng, 3)
         matrix = m.matrix / kernel_basis(m).sigma_max
         starts = [body.normalize_to_level(random_covector(rng, 3)) for _ in range(4)]
         horizons = np.full(4, 2.0 * np.pi * flow._TURNS * max(1.0, body._reach(3) ** 2))
-        expected = ellipsoid_period(matrix, body.shape_matrix)
+        if isinstance(body, Ellipsoid):
+            expected = [ellipsoid_period(matrix, body.shape_matrix)] * 4
+        else:
+            expected = [translated_ellipsoid_period(body, matrix, h0) for h0 in starts]
         for search in (flow._detect_each, flow._first_returns):
-            for found in search(body, matrix, starts, horizons, opts):
-                assert abs(found.period - expected) <= 1e-9 * expected
+            for found, period in zip(search(body, matrix, starts, horizons, opts), expected):
+                assert abs(found.period - period) <= 1e-9 * period
                 assert found.residual <= 1e-8
 
 
 def test_ellipsoids_classify_with_no_integration(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an ellipsoid classification integrated")
+        raise AssertionError("an ellipsoidal classification integrated")
 
     monkeypatch.setattr(flow, "_solve", refuse)
     monkeypatch.setattr(flow, "_Lanes", refuse)
     rng = np.random.default_rng(39)
-    base = Ellipsoid(random_spd(rng, 3))
+    bases = [random_body(rng, 3, family) for family in ("ellipsoid", "translated_ellipsoid")]
     m = random_skew(rng, 3)
     h0s = [random_covector(rng, 3) for _ in range(4)]
     # At c = 1e100 the entries of c^2 A square past the double range.
-    for c in (1.0, 1e100):
+    for base, c in itertools.product(bases, (1.0, 1e100)):
         body = scaled_body(base, c)
-        expected = ellipsoid_period(m.matrix, body.shape_matrix)
-        for outcome in [classify_k3(h0s[0], m, body)] + classify_sweep(h0s, m, body):
+        if isinstance(body, Ellipsoid):
+            expected = [ellipsoid_period(m.matrix, body.shape_matrix)] * 4
+        else:
+            expected = [translated_ellipsoid_period(body, m.matrix, h0) for h0 in h0s]
+        outcomes = [classify_k3(h0s[0], m, body)] + classify_sweep(h0s, m, body)
+        for outcome, period in zip(outcomes, expected[:1] + expected):
             assert outcome.kind == "periodic"
-            assert abs(outcome.period - expected) <= 1e-13 * expected
+            assert abs(outcome.period - period) <= 1e-13 * period
+            assert outcome.return_residual <= 1e-14
+
+
+@pytest.mark.parametrize("depth", [0.05, 0.5, 0.9, 0.99, 0.999])
+def test_translated_ellipsoid_periods_match_the_area_oracle(depth):
+    # The closed form against T = (1 / |m|) dArea/ds on the leaf, which
+    # shares no code with flow, for centres from shallow to near the
+    # boundary (c^T A^-1 c = depth), singles and sweeps alike.
+    rng = np.random.default_rng(int(1000 * depth))
+    for _ in range(3):
+        a = random_spd(rng, 3)
+        c = rng.standard_normal(3)
+        body = TranslatedEllipsoid(a, c * np.sqrt(depth / (c @ np.linalg.solve(a, c))))
+        m = random_skew(rng, 3)
+        h0s = [random_covector(rng, 3) for _ in range(4)]
+        expected = [translated_ellipsoid_period(body, m.matrix, h0) for h0 in h0s]
+        singles = [classify_k3(h0, m, body) for h0 in h0s]
+        for outcome, period in zip(singles + classify_sweep(h0s, m, body), expected * 2):
+            assert outcome.kind == "periodic"
+            assert abs(outcome.period - period) <= 1e-12 * period
             assert outcome.return_residual <= 1e-14
 
 
